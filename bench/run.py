@@ -6,7 +6,7 @@
 
 Run from the root of a checkout; qdisc is imported from its src/.  With
 --trace 0 the run measures the end-to-end metrics for --seconds seconds
-(and at least MIN_SAMPLES ops, so the p90 has ten samples beyond it).  With
+(and on until MIN_SAMPLES ops succeeded, ten of them beyond their p90).  With
 --trace 1 it runs a fixed number of ops twice in fresh processes, untraced
 and traced, and prints the per-layer metrics; the op count is fixed so that
 its counts repeat exactly.  The last stdout line is the result object; the
@@ -26,6 +26,8 @@ import subprocess
 import sys
 import time
 
+from estimate import quantile
+
 BENCH = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(BENCH)
 SRC = os.path.join(ROOT, "src")
@@ -36,7 +38,7 @@ TRACE_DIR = os.path.join(ROOT, ".bench_out")
 WORKLOADS = ("cli-star", "oracle-session", "algebra-session")
 
 MIN_SAMPLES = 100
-SETUP_REPEATS = 7
+SETUP_REPEATS = 3
 WORKER_TIMEOUT = 150
 # fixed op counts of a traced run, and of its smoke version
 TRACE_OPS = {"cli-star": 18, "oracle-session": 36, "algebra-session": 900}
@@ -177,12 +179,6 @@ def check_digests(records: list, refs) -> str:
 # -- statistics ---------------------------------------------------------------------
 
 
-def p90(values: list) -> float:
-    """Nearest-rank 90th percentile."""
-    ordered = sorted(values)
-    return ordered[-(-9 * len(ordered) // 10) - 1]
-
-
 def max_overlap(intervals: list) -> int:
     events = sorted([(a, 1) for a, _ in intervals] + [(b, -1) for _, b in intervals])
     live = peak = 0
@@ -238,8 +234,8 @@ def untraced_run(workload: str, seed: int, seconds: float, min_ops: int, repeats
     values = {
         "setup_s": statistics.median(setups),
         "ops_per_s": len(ok) / res["wall"],
-        "op_p50_s": statistics.median(ok) if ok else None,
-        "op_p90_s": p90(ok) if ok else None,
+        "op_p50_s": quantile(ok, 0.5) if ok else None,
+        "op_p90_s": quantile(ok, 0.9) if ok else None,
         "peak_rss_mb": res["peak_rss_mb"],
         "ok_ratio": len(ok) / len(records),
     }
@@ -330,7 +326,7 @@ def traced_run(workload: str, seed: int, n_ops: int) -> tuple:
         "fockrep.nnz_max": counts["nnz_max"],
         "qpoly.nc_mul_calls": len(durations.get(("qpoly.nc_mul", None), ())),
         "qpoly.assoc_p50_s": statistics.median(lat["assoc"]) if "assoc" in lat else 0.0,
-        "qpoly.big_p90_s": p90(lat["big"]) if "big" in lat else 0.0,
+        "qpoly.big_p90_s": quantile(lat["big"], 0.9) if "big" in lat else 0.0,
         "qpoly.block_memo_entries": None if block is None else block["currsize"],
         "trace.overhead_ratio": traced["wall"] / plain["wall"],
     }

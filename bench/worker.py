@@ -4,10 +4,13 @@
     python3 bench/worker.py --workload W --seed N --ops K --trace 0|1
     python3 bench/worker.py --workload W --seed N --setup-only
 
-Set-up is ``import qdisc`` plus building the seeded input pool; the line
+Set-up is ``import qdisc``, building the seeded input pool and, for
+oracle-session, warming the memo caches its ops read; the line
 "ready" on stdout marks its end, and the harness times the process from
 spawn to that line.  The last stdout line is one JSON object with the op
-records and, when traced, the spans.  The process starts no threads; for
+records and, when traced, the spans.  A timed run goes on past S seconds
+until K ops succeeded and K / 10 of them lie beyond their p90, or until 3 S
+seconds.  The process starts no threads; for
 cli-star it runs one CLI child at a time and waits for each.
 """
 
@@ -27,6 +30,7 @@ sys.path.insert(0, SRC)
 
 import qdisc  # noqa: E402
 import ops  # noqa: E402
+from estimate import quantile  # noqa: E402
 from qdisc.cli import ncpoly_json  # noqa: E402
 
 TRACED_CLI = os.path.join(BENCH, "cli_traced.py")
@@ -108,11 +112,12 @@ class CliStar:
 
 
 class InProcess:
-    """Runs each op in this process; memo caches warm over the session."""
+    """Runs each op in this process; the oracle memos are warmed at set-up."""
 
-    def __init__(self, tracer: ops.Tracer):
+    def __init__(self, pool: list, tracer: ops.Tracer):
         self.tr = tracer
         self.s = ops.Session(tracer)
+        self.s.warm_up(pool)
 
     def kind(self, spec) -> str:
         return spec[0]
@@ -141,6 +146,14 @@ class InProcess:
         }
 
 
+def enough(latencies: list, min_ops: int) -> bool:
+    """min_ops successful ops, and a tenth as many of them beyond their p90."""
+    if len(latencies) < min_ops:
+        return False
+    p90 = quantile(latencies, 0.9)
+    return sum(1 for x in latencies if x > p90) >= min_ops // 10
+
+
 def main() -> int:
     ap = argparse.ArgumentParser()
     ap.add_argument("--workload", required=True, choices=ops.WORKLOADS)
@@ -154,15 +167,16 @@ def main() -> int:
 
     pool = ops.pool(args.workload, args.seed)
     tracer = ops.Tracer(bool(args.trace))
-    runner = CliStar(pool, tracer) if args.workload == "cli-star" else InProcess(tracer)
+    runner = CliStar(pool, tracer) if args.workload == "cli-star" else InProcess(pool, tracer)
     print("ready", flush=True)
     if args.setup_only:
         return 0
 
     records = []
+    latencies = []
     start = time.perf_counter()
     deadline = start + args.seconds
-    # a slow machine may not reach min_ops in time; never run past 3x the budget
+    # a slow machine may not reach enough ops in time; never run past 3x the budget
     hard_stop = start + 3 * args.seconds
     n = 0
     while True:
@@ -171,13 +185,14 @@ def main() -> int:
                 break
         else:
             now = time.perf_counter()
-            if now >= deadline and (n >= args.min_ops or now >= hard_stop):
+            if now >= deadline and (now >= hard_stop or enough(latencies, args.min_ops)):
                 break
         idx = n % len(pool)
         spec = pool[idx]
         try:
             latency, dig = runner.run(n, idx, spec)
             records.append([latency, True, dig, idx, runner.kind(spec), None])
+            latencies.append(latency)
         except Exception as exc:  # a failed op is counted, never fatal
             records.append([None, False, None, idx, runner.kind(spec), f"{type(exc).__name__}: {exc}"])
         n += 1
