@@ -80,7 +80,7 @@ def latex_scalar(x: QScalar) -> str:
         return " ".join(parts)
 
     num = poly(x.num)
-    if x.den == {0: Fraction(1)}:
+    if x.den == {0: 1}:
         return num
     return rf"\frac{{{num}}}{{{poly(x.den)}}}"
 
@@ -318,6 +318,24 @@ def build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+# numeric arguments that must be >= 0, with the name the user typed
+_NONNEGATIVE = {
+    "k": "k",
+    "order": "--order",
+    "window": "--window",
+    "cutoff": "--cutoff",
+    "terms": "--terms",
+    "t_order": "--t-order",
+}
+
+
+def _check_nonnegative(args) -> None:
+    for attr, name in _NONNEGATIVE.items():
+        value = getattr(args, attr, None)
+        if value is not None and value < 0:
+            raise ValueError(f"{name} must be >= 0, got {value}")
+
+
 def main(argv=None) -> int:
     ap = build_parser()
     try:
@@ -326,6 +344,7 @@ def main(argv=None) -> int:
         # argparse already printed the usage message
         return 2 if exc.code not in (0, None) else 0
     try:
+        _check_nonnegative(args)
         return args.func(args)
     except ParseError as exc:
         _emit({"schema": 1, "error": {"type": "parse", "message": str(exc), "position": exc.position}})

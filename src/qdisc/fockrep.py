@@ -99,7 +99,10 @@ class FockOp:
     def __sub__(self, other: "FockOp") -> "FockOp":
         if not isinstance(other, FockOp):
             return NotImplemented
-        return self + other.scale_series(TSeries.constant(-1, self.order))
+        return self + -other
+
+    def __neg__(self) -> "FockOp":
+        return FockOp(self.M, self.order, {key: -v for key, v in self.entries.items()}, self.raise_bound)
 
     def scale_series(self, ts: TSeries) -> "FockOp":
         if ts.order != self.order:
@@ -206,7 +209,10 @@ def i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
     """Linear extension of the monomial action to any polynomial."""
     out = FockOp.zero(M, order)
     for (j, k), c in f.terms.items():
-        out = out + i_op(j, k, M, order).scale_series(TSeries.constant(c, order))
+        op = i_op(j, k, M, order)
+        if not c.is_one():
+            op = FockOp(M, order, {key: v * c for key, v in op.entries.items()}, op.raise_bound)
+        out = out + op
     return out
 
 

@@ -16,10 +16,6 @@ from typing import Union
 
 from .scalar import ONE, QScalar, TSeries, ZERO, _coerce
 
-# the two constants of the commutation relation zs*z = q^2 z*zs + (1 - q^2)
-_Q2 = QScalar.q_power(2)
-_ONE_MINUS_Q2 = ONE - _Q2
-
 CoeffLike = Union[QScalar, int, Fraction]
 
 
@@ -167,29 +163,47 @@ def _term_str(j: int, k: int, c: QScalar) -> str:
 
 @lru_cache(maxsize=None)
 def _zstar_block_z(b: int) -> tuple:
-    """Normal form of zs^b * z, moving the single z left one swap at a time."""
+    """Normal form of zs^b * z: q^2b z zs^b + (1 - q^2b) zs^(b-1).
+
+    Moving the single z left one swap at a time gives this by induction on b.
+    """
     if b == 0:
         return (((1, 0), ONE),)
-    out: dict = {}
-    # zs^b z = q^2 (zs^(b-1) z) zs + (1 - q^2) zs^(b-1)
-    for (j, k), c in _zstar_block_z(b - 1):
-        out[(j, k + 1)] = _Q2 * c
-    key = (0, b - 1)
-    prev = out.get(key)
-    out[key] = _ONE_MINUS_Q2 if prev is None else prev + _ONE_MINUS_Q2
-    return tuple(out.items())
+    q2b = QScalar.q_power(2 * b)
+    return (((1, b), q2b), ((0, b - 1), ONE - q2b))
+
+
+# True while the outermost cold _normal_block call memoizes the blocks below
+# it; the calls it makes then find their inputs memoized and skip that step.
+# It orders the work and never changes a value.
+_filling_blocks = False
 
 
 @lru_cache(maxsize=None)
 def _normal_block(b: int, c: int) -> tuple:
-    """Normal form of zs^b * z^c as ((j, k), coeff) pairs."""
+    """Normal form of zs^b * z^c as ((j, k), coeff) pairs.
+
+    zs^b z^c = sum w * z^j (zs^k z^(c-1)) over the terms of zs^b z, so the
+    block needs (b, c-1) and (b-1, c-1).  A cold call first memoizes every
+    block it depends on, lowest c first, so no call nests more than one level
+    deep however large b and c are; the memo ends up with the same keys as
+    plain recursion would leave.
+    """
+    global _filling_blocks
     if b == 0:
         return (((c, 0), ONE),)
     if c == 0:
         return (((0, b), ONE),)
+    if c > 1 and not _filling_blocks:
+        _filling_blocks = True
+        try:
+            for c2 in range(1, c):
+                for b2 in range(max(b - c + c2, 0), b + 1):
+                    _normal_block(b2, c2)
+        finally:
+            _filling_blocks = False
     out: dict = {}
     for (j, k), w in _zstar_block_z(b):
-        # zs^b z^c = sum w * z^j (zs^k z^(c-1))
         for (j2, k2), w2 in _normal_block(k, c - 1):
             key = (j + j2, k2)
             v = w * w2

@@ -1,11 +1,20 @@
 """Exact scalar arithmetic for the quantum disc tower.
 
 Every coefficient in this package is an element of Q(s), the field of
-rational functions in one indeterminate ``s`` with arbitrary-precision
-rational coefficients.  The deformation parameter ``q`` is ``s**2``, so
-half-integer powers of ``q`` stay polynomial.  On top of Q(s) sits
-:class:`TSeries`, a power series in a second formal parameter ``t``
-truncated at a run-wide order.
+rational functions in one indeterminate ``s`` over the rationals.  The
+deformation parameter ``q`` is ``s**2``, so half-integer powers of ``q``
+stay polynomial.  On top of Q(s) sits :class:`TSeries`, a power series in a
+second formal parameter ``t`` truncated at a run-wide order.
+
+Polynomial coefficients are plain Python ``int``s whenever they are
+integral, which is almost always: every denominator the package builds is a
+product of (q^a; q^b) factors with unit leading coefficient.  A
+:class:`fractions.Fraction` appears only for a coefficient that really is
+non-integral, such as user input ``1/2``.  The gcd that keeps quotients
+reduced is a primitive pseudo-remainder sequence over Z[s] (W. S. Brown,
+"On Euclid's Algorithm and the Computation of Polynomial Greatest Common
+Divisors", J. ACM 18, 1971) when both operands have integer coefficients,
+and the monic Euclid over Q otherwise.
 
 There is no floating point anywhere: numeric instantiation substitutes an
 exact rational for ``s`` and returns a :class:`fractions.Fraction`.
@@ -14,21 +23,42 @@ exact rational for ``s`` and returns a :class:`fractions.Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Iterable, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
-# sparse univariate polynomials over Q: {exponent: Fraction}, no zero values
+# sparse univariate polynomials over Q: {exponent: coefficient}, no zero
+# values; a coefficient is an int when integral, else a Fraction
 # ---------------------------------------------------------------------------
 
 _F0 = Fraction(0)
-_F1 = Fraction(1)
+
+
+def _div(a, b):
+    """Exact quotient a / b of two coefficients: an int whenever integral."""
+    if type(a) is int and type(b) is int:
+        q, r = divmod(a, b)
+        return Fraction(a, b) if r else q
+    q = Fraction(a) / b
+    return q.numerator if q.denominator == 1 else q
+
+
+def _is_zpoly(a: dict) -> bool:
+    return Fraction not in map(type, a.values())
+
+
+def _pint(a: dict) -> dict:
+    """``a`` with every integral Fraction coefficient turned into an int."""
+    if _is_zpoly(a):
+        return a
+    return {e: (c.numerator if type(c) is Fraction and c.denominator == 1 else c) for e, c in a.items()}
 
 
 def _padd(a: dict, b: dict) -> dict:
     out = dict(a)
     for e, c in b.items():
-        v = out.get(e, _F0) + c
+        v = out.get(e, 0) + c
         if v:
             out[e] = v
         elif e in out:
@@ -40,27 +70,35 @@ def _pneg(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
 
 
-def _psub(a: dict, b: dict) -> dict:
-    return _padd(a, _pneg(b))
+# One shared int object per exponent: ints above 256 are not cached by the
+# interpreter, and memoized products would otherwise keep a separate
+# exponent object in every dict entry.
+_EXPONENTS: list = []
+
+
+def _exponents(top: int) -> list:
+    """The shared exponent objects, covering 0..top."""
+    if top >= len(_EXPONENTS):
+        _EXPONENTS.extend(range(len(_EXPONENTS), top + 1))
+    return _EXPONENTS
 
 
 def _pmul(a: dict, b: dict) -> dict:
-    out: dict = {}
-    for ea, ca in a.items():
-        for eb, cb in b.items():
-            e = ea + eb
-            v = out.get(e, _F0) + ca * cb
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-    return out
-
-
-def _pscale(a: dict, c: Fraction) -> dict:
-    if not c:
+    if not a or not b:
         return {}
-    return {e: v * c for e, v in a.items()}
+    if len(a) < len(b):
+        a, b = b, a
+    exps = _exponents(max(a) + max(b))
+    if len(b) == 1:
+        ((eb, cb),) = b.items()
+        return {exps[ea + eb]: ca * cb for ea, ca in a.items()}
+    out: dict = {}
+    get = out.get
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = ea + eb
+            out[e] = get(e, 0) + ca * cb
+    return {exps[e]: c for e, c in out.items() if c}
 
 
 def _pdeg(a: dict) -> int:
@@ -71,34 +109,26 @@ def _pval(a: dict) -> int:
     return min(a) if a else 0
 
 
+def _pdivc(a: dict, c) -> dict:
+    """a with every coefficient divided by the nonzero constant c."""
+    if c == 1:
+        return _pint(a)
+    return {e: _div(v, c) for e, v in a.items()}
+
+
 def _pmonic(a: dict) -> dict:
-    if not a:
-        return {}
-    lc = a[max(a)]
-    if lc == 1:
-        return dict(a)
-    return {e: c / lc for e, c in a.items()}
+    return _pdivc(a, a[max(a)]) if a else {}
 
 
-def _pmod(a: dict, b: dict) -> dict:
-    # b must be nonzero; remainder of Euclidean division
-    db = max(b)
-    lb = b[db]
-    r = dict(a)
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        factor = r[dr] / lb
-        shift = dr - db
-        for e, c in b.items():
-            e2 = e + shift
-            v = r.get(e2, _F0) - factor * c
-            if v:
-                r[e2] = v
-            elif e2 in r:
-                del r[e2]
-    return r
+def _psubmul(r: dict, factor, shift: int, b: dict) -> None:
+    """r -= factor * s**shift * b, in place."""
+    for e, c in b.items():
+        e2 = e + shift
+        v = r.get(e2, 0) - factor * c
+        if v:
+            r[e2] = v
+        else:
+            del r[e2]
 
 
 def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
@@ -106,27 +136,74 @@ def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
         raise ZeroDivisionError("polynomial division by zero")
     db = max(b)
     lb = b[db]
+    if len(b) == 1:
+        q = {e - db: _div(c, lb) for e, c in a.items() if e >= db}
+        return q, {e: c for e, c in a.items() if e < db}
     q: dict = {}
     r = dict(a)
-    while r:
-        dr = max(r)
-        if dr < db:
-            break
-        factor = r[dr] / lb
-        shift = dr - db
-        q[shift] = q.get(shift, _F0) + factor
-        for e, c in b.items():
-            e2 = e + shift
-            v = r.get(e2, _F0) - factor * c
-            if v:
-                r[e2] = v
-            elif e2 in r:
-                del r[e2]
-    return q, r
+    for dr in range(_pdeg(r), db - 1, -1):
+        lr = r.get(dr)
+        if lr is not None:
+            factor = q[dr - db] = _div(lr, lb)
+            _psubmul(r, factor, dr - db, b)
+    return q, _pint(r)
+
+
+def _pquo(a: dict, g: dict) -> dict:
+    """The exact quotient a / g for a monic g dividing a."""
+    if g == _ONE_P:
+        return a
+    return _pdivmod(a, g)[0]
+
+
+def _pprimitive(a: dict) -> dict:
+    """a divided by its content, with a positive leading coefficient (a in Z[s])."""
+    g = gcd(*a.values())
+    if a[max(a)] < 0:
+        g = -g
+    if g == 1:
+        return a
+    return {e: c // g for e, c in a.items()}
+
+
+def _pprem(a: dict, b: dict) -> dict:
+    """A pseudo-remainder of a by b in Z[s]: a nonzero integer multiple of a mod b.
+
+    Each step scales r by lc(b) only when lc(b) does not divide lc(r), so
+    with a unit leading coefficient this is the plain remainder.
+    """
+    db = max(b)
+    lb = b[db]
+    r = dict(a)
+    for dr in range(_pdeg(r), db - 1, -1):
+        lr = r.get(dr)
+        if lr is None:
+            continue
+        factor, rest = divmod(lr, lb)
+        if rest:
+            r = {e: c * lb for e, c in r.items()}
+            factor = lr
+        _psubmul(r, factor, dr - db, b)
+    return r
+
+
+def _pgcd_z(a: dict, b: dict) -> dict:
+    """Monic gcd of two nonzero polynomials in Z[s]: a primitive remainder sequence.
+
+    The content is removed after every step, so the coefficients stay those
+    of Z[s] divisors of the inputs; the result is made monic only at the end.
+    """
+    a, b = _pprimitive(a), _pprimitive(b)
+    if max(a) < max(b):
+        a, b = b, a
+    while b:
+        r = _pprem(a, b)
+        a, b = b, (_pprimitive(r) if r else r)
+    return _pmonic(a)
 
 
 def _pgcd(a: dict, b: dict) -> dict:
-    """Monic gcd; Euclid with monic remainders to keep coefficients tame."""
+    """Monic gcd: a primitive remainder sequence for integer coefficients, else Euclid."""
     if not a:
         return _pmonic(b)
     if not b:
@@ -134,10 +211,17 @@ def _pgcd(a: dict, b: dict) -> dict:
     # monomial fast path: gcd(p, c*s^k) = s^min(val p, k)
     if len(a) == 1 or len(b) == 1:
         e = min(_pval(a), _pval(b))
-        return {e: _F1}
+        return {e: 1}
+    if _is_zpoly(a) and _is_zpoly(b):
+        return _pgcd_z(a, b)
+    return _pgcd_q(a, b)
+
+
+def _pgcd_q(a: dict, b: dict) -> dict:
+    """Monic gcd of two nonzero polynomials over Q: Euclid with monic remainders."""
     a, b = _pmonic(a), _pmonic(b)
     while b:
-        a, b = b, _pmonic(_pmod(a, b))
+        a, b = b, _pmonic(_pdivmod(a, b)[1])
     return a
 
 
@@ -148,7 +232,7 @@ def _peval(a: dict, x: Fraction) -> Fraction:
     return total
 
 
-def _frac_str(c: Fraction) -> str:
+def _frac_str(c: int | Fraction) -> str:
     if c.denominator == 1:
         return str(c.numerator)
     return f"{c.numerator}/{c.denominator}"
@@ -179,7 +263,7 @@ def _pstr(a: dict) -> str:
 # QScalar: the field Q(s), q = s^2
 # ---------------------------------------------------------------------------
 
-_ONE_P = {0: _F1}
+_ONE_P = {0: 1}
 
 ScalarLike = Union["QScalar", int, Fraction]
 
@@ -188,9 +272,16 @@ class QScalar:
     """A rational function in ``s`` over Q, kept in canonical form.
 
     Canonical means: gcd(numerator, denominator) = 1, denominator monic and
-    nonzero, zero stored as 0/1.  Equality is therefore plain syntactic
-    comparison.  Values are immutable; all arithmetic returns new objects.
-    Conjugation is the identity (the coefficient field models real-valued
+    nonzero, zero stored as 0/1.  ``num`` and ``den`` are ``{exponent:
+    coefficient}`` dicts whose integral coefficients are ``int``s; a
+    ``Fraction`` stands only for a non-integral one, and since an ``int``
+    equals and hashes like the equal ``Fraction``, equality is plain
+    syntactic comparison.  Products cancel gcd(a, d) and gcd(c, b) before
+    multiplying a/b by c/d, and sums with different denominators only test
+    the gcd of the two denominators against the new numerator; the gcds are
+    primitive remainder sequences over Z[s] for integer coefficients.
+    Values are immutable, so arithmetic may return an operand itself (x + 0
+    is x).  Conjugation is the identity (the coefficient field models real-valued
     functions of real q), so the algebra involutions never touch scalars.
     """
 
@@ -212,27 +303,24 @@ class QScalar:
             self._hash = None
             return
         if den == _ONE_P:
-            self.num = dict(num)
+            clean = _pint(num)
+            self.num = dict(num) if clean is num else clean
             self.den = _ONE_P
         else:
             g = _pgcd(num, den)
-            if _pdeg(g) > 0 or _pval(g) > 0:
+            if _pdeg(g) > 0:
                 num, _ = _pdivmod(num, g)
                 den, _ = _pdivmod(den, g)
             lc = den[max(den)]
-            if lc != 1:
-                inv = 1 / lc
-                num = _pscale(num, inv)
-                den = _pscale(den, inv)
-            self.num = num
-            self.den = den
+            self.num = _pdivc(num, lc)
+            self.den = _pdivc(den, lc)
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_int(n: int) -> "QScalar":
-        return QScalar({0: Fraction(n)} if n else {})
+        return QScalar({0: n} if n else {})
 
     @staticmethod
     def from_fraction(c: Fraction) -> "QScalar":
@@ -242,8 +330,8 @@ class QScalar:
     def s_power(n: int) -> "QScalar":
         """s**n, with negative n landing in the denominator."""
         if n >= 0:
-            return QScalar({n: _F1}, None, _canonical=True)
-        return QScalar(dict(_ONE_P), {-n: _F1}, _canonical=True)
+            return QScalar({n: 1}, None, _canonical=True)
+        return QScalar(dict(_ONE_P), {-n: 1}, _canonical=True)
 
     @staticmethod
     def q_power(n: int) -> "QScalar":
@@ -264,13 +352,25 @@ class QScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        if not other.num:
+            return self
+        if not self.num:
+            return other
         if self.den == other.den:
             num = _padd(self.num, other.num)
             if self.den == _ONE_P:
-                return QScalar(num, None, _canonical=True)
+                return QScalar(_pint(num), None, _canonical=True)
             return QScalar(num, self.den)
-        num = _padd(_pmul(self.num, other.den), _pmul(other.num, self.den))
-        return QScalar(num, _pmul(self.den, other.den))
+        # a/b + c/d = (a d' + c b') / (b d') with g = gcd(b, d), b = g b', d = g d';
+        # only gcd(numerator, g) can cancel
+        g = _pgcd(self.den, other.den)
+        b1, d1 = _pquo(self.den, g), _pquo(other.den, g)
+        num = _pint(_padd(_pmul(self.num, d1), _pmul(other.num, b1)))
+        den = _pmul(self.den, d1)
+        if not num:
+            return ZERO
+        g2 = _pgcd(num, g)
+        return QScalar(_pquo(num, g2), _pint(_pquo(den, g2)), _canonical=True)
 
     __radd__ = __add__
 
@@ -294,8 +394,8 @@ class QScalar:
         if other is NotImplemented:
             return NotImplemented
         if self.den == _ONE_P and other.den == _ONE_P:
-            return QScalar(_pmul(self.num, other.num), None, _canonical=True)
-        return QScalar(_pmul(self.num, other.num), _pmul(self.den, other.den))
+            return QScalar(_pint(_pmul(self.num, other.num)), None, _canonical=True)
+        return _mul_reduced(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
 
@@ -305,7 +405,8 @@ class QScalar:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("QScalar division by zero")
-        return QScalar(_pmul(self.num, other.den), _pmul(self.den, other.num))
+        lc = other.num[max(other.num)]
+        return _mul_reduced(self.num, self.den, _pdivc(other.den, lc), _pdivc(other.num, lc))
 
     def __rtruediv__(self, other: ScalarLike) -> "QScalar":
         other = _coerce(other)
@@ -348,6 +449,20 @@ class QScalar:
 
     def __repr__(self) -> str:
         return f"QScalar({self})"
+
+
+def _mul_reduced(a: dict, b: dict, c: dict, d: dict) -> "QScalar":
+    """(a/b) * (c/d) for reduced fractions a/b and c/d with monic b and d.
+
+    Cancelling gcd(a, d) and gcd(c, b) first leaves a reduced product with
+    a monic denominator, so no gcd of the full product is needed.
+    """
+    if not a or not c:
+        return ZERO
+    g1, g2 = _pgcd(a, d), _pgcd(c, b)
+    num = _pint(_pmul(_pquo(a, g1), _pquo(c, g2)))
+    den = _pint(_pmul(_pquo(b, g2), _pquo(d, g1)))
+    return QScalar(num, den, _canonical=True)
 
 
 def _coerce(x) -> "QScalar":

@@ -1,0 +1,71 @@
+"""Record the CLI golden corpus checked by ``tests/test_golden.py``.
+
+Run from the repository root with the checkout whose output is the
+reference::
+
+    PYTHONPATH=src python tests/golden/make_golden.py
+
+It runs every case in ``CASES`` through ``qdisc.cli.main`` in this process
+and writes the exact stdout text, with the exit code, to
+``tests/golden/corpus.json``.  Re-recording is only right when a change
+to the canonical output is intended.
+"""
+
+from __future__ import annotations
+
+import io
+import json
+import pathlib
+import sys
+from contextlib import redirect_stdout
+
+from qdisc.cli import main
+
+HERE = pathlib.Path(__file__).resolve().parent
+
+# (name, argv, stdin text or None).  Inputs with denominators make the
+# scalar core reduce rational functions; "2 - 3*q" and "1/2" put a
+# non-unit leading coefficient and a non-integral coefficient into play.
+CASES = [
+    ("star-T3-den", ["star", "zs^2/(1-q)", "z*zs", "--order", "3"], None),
+    ("star-T4-den", ["star", "zs/(1+q) + z", "z^2/(1-q^2)", "--order", "4"], None),
+    ("star-T5-den", ["star", "zs*z/(1-q)", "z - q*zs", "--order", "5"], None),
+    ("star-T5-mixed", ["star", "z^2*zs^2/(1-q^3)", "z^2*zs - 2*z", "--order", "5"], None),
+    ("star-T3-frac", ["star", "zs/(2 - 3*q)", "z + 1/2*zs", "--order", "3"], None),
+    ("star-T3-latex", ["star", "zs^2/(1-q)", "z/(2-3*q)", "--order", "3", "--latex"], None),
+    ("ck-2", ["ck", "2", "zs^2/(1+q)", "z^2 - zs"], None),
+    ("ck-1-latex", ["ck", "1", "1/2*zs", "z/(1-q)", "--latex"], None),
+    ("pk-6", ["pk", "6"], None),
+    ("pk-6-latex", ["pk", "6", "--latex"], None),
+    ("box-latex", ["box", "zs^2*z/(1-q) + 1/3*z", "--latex"], None),
+    ("berezin", ["berezin", "2", "1", "--window", "4", "--cutoff", "9", "--order", "3"], None),
+    ("berezin-expand", ["berezin-expand", "2", "1", "--terms", "4"], None),
+    ("eval-expr", ["eval", "zs/(2-3*q) + z^2*(1+s)", "--s0", "3/7"], None),
+    (
+        "eval-stdin",
+        ["eval", "--s0", "5/3"],
+        json.dumps({"terms": [[[[0, 1], "(1 - s^2)/(2 - 3*s^4)"], [[1, 0], "1/2*s"]]]}),
+    ),
+]
+
+
+def run_case(argv, stdin_text):
+    buf = io.StringIO()
+    old = sys.stdin
+    if stdin_text is not None:
+        sys.stdin = io.StringIO(stdin_text)
+    try:
+        with redirect_stdout(buf):
+            code = main(list(argv))
+    finally:
+        sys.stdin = old
+    return code, buf.getvalue()
+
+
+if __name__ == "__main__":
+    corpus = []
+    for name, argv, stdin_text in CASES:
+        code, out = run_case(argv, stdin_text)
+        corpus.append({"name": name, "argv": argv, "stdin": stdin_text, "exit": code, "stdout": out})
+    (HERE / "corpus.json").write_text(json.dumps(corpus, indent=1) + "\n")
+    print(f"wrote {len(corpus)} cases")

@@ -189,3 +189,46 @@ def test_latex_emission():
     code, payload = run_cli("star", "zs", "z", "--order", "1", "--latex")
     assert code == 0
     assert "latex" in payload and "t" in payload["latex"]
+
+
+def _assert_rejected(code, payload, name):
+    assert code == 2
+    assert payload["schema"] == 1
+    assert payload["error"]["type"] == "ValueError"
+    assert name in payload["error"]["message"]
+
+
+def test_negative_window_rejected():
+    _assert_rejected(*run_cli("berezin", "1", "1", "--window", "-3"), "--window")
+
+
+def test_negative_cutoff_rejected():
+    _assert_rejected(*run_cli("berezin", "1", "1", "--cutoff", "-1"), "--cutoff")
+
+
+def test_negative_order_rejected():
+    _assert_rejected(*run_cli("star", "zs", "z", "--order", "-1"), "--order")
+
+
+def test_negative_terms_rejected():
+    _assert_rejected(*run_cli("berezin-expand", "1", "1", "--terms", "-2"), "--terms")
+
+
+def test_negative_t_order_rejected():
+    _assert_rejected(*run_cli("verify", "star", "--t-order", "-1"), "--t-order")
+
+
+def test_negative_pk_index_rejected():
+    _assert_rejected(*run_cli("pk", "-1"), "k")
+
+
+def test_negative_ck_index_rejected():
+    _assert_rejected(*run_cli("ck", "-2", "z", "zs"), "k")
+
+
+def test_large_exponent_normal_ordering_does_not_recurse():
+    # zs^1200 * z once overflowed the interpreter stack in normal ordering
+    code, payload = run_cli("star", "zs^1200", "z", "--order", "1")
+    assert code == 0
+    assert payload["schema"] == 1
+    assert dict((tuple(jk), c) for jk, c in payload["terms"][0])[(0, 1199)] == "1 - s^4800"

@@ -19,6 +19,8 @@ from qdisc import (
     tensor_mul,
 )
 
+from qdisc import qpoly
+
 from conftest import naive_monomial_product
 
 Q2 = QScalar.q_power(2)
@@ -46,6 +48,44 @@ def test_all_small_products_match_naive_rewriter():
                 for d in range(4):
                     got = nc_mul(NCPoly.monomial(a, b), NCPoly.monomial(c, d))
                     assert got == naive_monomial_product(a, b, c, d), (a, b, c, d)
+
+
+def _block_closure(b, c):
+    """Keys plain recursion on zs^b z^c = sum w z^j (zs^k z^(c-1)) memoizes."""
+    seen = set()
+    todo = [(b, c)]
+    while todo:
+        key = todo.pop()
+        if key in seen:
+            continue
+        seen.add(key)
+        if key[0] and key[1]:
+            todo += [(key[0], key[1] - 1), (key[0] - 1, key[1] - 1)]
+    return seen
+
+
+def test_cold_blocks_match_naive_rewriter_and_recursion_keys():
+    qpoly._normal_block.cache_clear()
+    qpoly._zstar_block_z.cache_clear()
+    # the largest block first, so the cold fill computes everything below it
+    got = NCPoly(dict(qpoly._normal_block(4, 4)))
+    assert qpoly._normal_block.cache_info().currsize == len(_block_closure(4, 4))
+    assert got == naive_monomial_product(0, 4, 4, 0)
+    for b in range(5):
+        for c in range(5):
+            assert NCPoly(dict(qpoly._normal_block(b, c))) == naive_monomial_product(0, b, c, 0)
+    qpoly._normal_block.cache_clear()
+    qpoly._normal_block(3, 9)
+    assert qpoly._normal_block.cache_info().currsize == len(_block_closure(3, 9))
+
+
+def test_large_exponent_normal_ordering():
+    # zs z^n = q^2n z^n zs + (1 - q^2n) z^(n-1); recursion once overflowed the stack here
+    n = 1500
+    q2n = QScalar.q_power(2 * n)
+    expected = NCPoly.monomial(n, 1, q2n) + NCPoly.monomial(n - 1, 0, ONE - q2n)
+    assert nc_mul(ZS, NCPoly.monomial(n, 0)) == expected
+    assert nc_mul(NCPoly.monomial(0, n), Z) == NCPoly.monomial(1, n, q2n) + NCPoly.monomial(0, n - 1, ONE - q2n)
 
 
 def test_associativity_small_monomials():
