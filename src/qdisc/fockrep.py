@@ -22,7 +22,7 @@ from functools import lru_cache
 from .qcalc import box
 from .qpoly import NCPoly, WindowedSeries, nc_mul
 from .scalar import QScalar, TSeries, qpochhammer
-from .star import StarSeries, pk
+from .star import StarSeries, apply_poly, pk_diff_coeffs
 
 
 class ValidityError(ValueError):
@@ -311,13 +311,4 @@ def berezin_expansion(j: int, k: int, terms: int) -> list:
     if terms < 0:
         raise ValueError("need terms >= 0")
     f0 = nc_mul(NCPoly.monomial(0, j), NCPoly.monomial(k, 0))
-    out = [f0]
-    for n in range(1, terms + 1):
-        a = pk(n).coeffs
-        b = pk(n - 1).coeffs + [None]
-        diff = [x if y is None else x - y for x, y in zip(a, b)]
-        acc = f0.scale(diff[-1])
-        for c in reversed(diff[:-1]):
-            acc = box(acc) + f0.scale(c)
-        out.append(acc)
-    return out
+    return [f0] + [apply_poly(pk_diff_coeffs(n), box, f0) for n in range(1, terms + 1)]

@@ -6,11 +6,18 @@ relations
     z * dz  = q^-2 dz * z        zs * dz  = q^2  dz * zs
     z * dzs = q^-2 dzs * z       zs * dzs = q^2  dzs * zs
 
-Partial derivatives are read off by writing d(monomial) with the Leibniz
-rule and pushing each differential letter to the far right (for the
-right-handed derivatives) or far left (left-handed) one swap at a time.
-That rewriting is the source of truth here; no closed-form coefficient
-formulas are assumed.
+Writing d(z^j zs^k) with the Leibniz rule and moving each differential to
+the far right (right derivatives) or far left (left derivatives) costs q^2
+or q^-2 per letter passed; summing over the letter positions gives a
+q-number [n]_x = 1 + x + ... + x^(n-1).  So each derivative of a monomial
+is one q-number times one monomial:
+
+    right d_z   z^j zs^k = q^-2k [j]_{q^2}  z^(j-1) zs^k
+    right d_zs  z^j zs^k = [k]_{q^-2}       z^j zs^(k-1)
+    left  d_z   z^j zs^k = [j]_{q^-2}       z^(j-1) zs^k
+    left  d_zs  z^j zs^k = q^-2j [k]_{q^2}  z^j zs^(k-1)
+
+The letter-by-letter rewriting is kept in the tests as their oracle.
 
 On top of the derivatives sit the second-order operator ``box`` (the
 q-deformed Laplace-Beltrami operator of the disc), its lift ``box_tilde``
@@ -22,19 +29,10 @@ from __future__ import annotations
 from .qpoly import NCPoly, TensorPoly, nc_mul
 from .scalar import ONE, QScalar
 
-# cost of swapping a differential letter rightward past a generator:
-#   dz * z   -> q^2  z  * dz        dz * zs  -> q^-2 zs * dz
-#   dzs * z  -> q^2  z  * dzs       dzs * zs -> q^-2 zs * dzs
-# (each line is one of the four bimodule relations read right-to-left)
-_RIGHT_COST = {"z": QScalar.q_power(2), "zs": QScalar.q_power(-2)}
-_LEFT_COST = {"z": QScalar.q_power(-2), "zs": QScalar.q_power(2)}
 
-
-def _push_through(letters: tuple, coeff: QScalar, costs: dict) -> tuple:
-    """Move one differential past a run of generators, one swap at a time."""
-    for g in letters:
-        coeff = coeff * costs[g]
-    return coeff
+def _qnum(n: int, m: int) -> QScalar:
+    """q^-2m [n]_{q^2}, equal to [n]_{q^-2} for m = n - 1 (q^2 is s^4)."""
+    return QScalar({4 * i: 1 for i in range(n)}, {4 * m: 1})
 
 
 def d_partial(f: NCPoly, side: str, variable: str) -> NCPoly:
@@ -47,92 +45,57 @@ def d_partial(f: NCPoly, side: str, variable: str) -> NCPoly:
         raise ValueError(f"side must be 'right' or 'left', got {side!r}")
     if variable not in ("z", "zstar"):
         raise ValueError(f"variable must be 'z' or 'zstar', got {variable!r}")
-    out = NCPoly.zero()
     wrt_z = variable == "z"
-    costs = _RIGHT_COST if side == "right" else _LEFT_COST
+    out = {}
     for (j, k), c in f.terms.items():
-        word = ("z",) * j + ("zs",) * k
-        # d(word): one term per letter equal to the differential variable
-        for pos, letter in enumerate(word):
-            if (letter == "z") != wrt_z:
-                continue
-            rest = word[:pos] + word[pos + 1 :]
-            if side == "right":
-                coeff = _push_through(word[pos + 1 :], c, costs)
-            else:
-                coeff = _push_through(word[:pos], c, costs)
-            # removing one letter from a sorted word leaves it sorted
-            jj = rest.count("z")
-            out = out + NCPoly.monomial(jj, len(rest) - jj, coeff)
-    return out
+        n = j if wrt_z else k
+        if n == 0:
+            continue
+        jj, kk = (j - 1, k) if wrt_z else (j, k - 1)
+        # the four forms above are q^-2m [n]_{q^2}, m the zs (right) or z (left) count left
+        out[(jj, kk)] = c * _qnum(n, kk if side == "right" else jj)
+    return NCPoly(out)
 
 
 # (1 - z*zs)^2, the weight that makes box second order
 _W = NCPoly.one() - NCPoly.monomial(1, 1)
 _W2 = nc_mul(_W, _W)
-_Q2 = QScalar.q_power(2)
 
-# middle factor of box_tilde: q^-2 (1(x)1 - (1+q^-2) zs(x)z + q^-2 zs^2(x)z^2)
-_MID = TensorPoly(
-    {
-        (0, 0, 0, 0): QScalar.q_power(-2),
-        (0, 1, 1, 0): -(ONE + QScalar.q_power(-2)) * QScalar.q_power(-2),
-        (0, 2, 2, 0): QScalar.q_power(-4),
-    }
-)
+# weights w_i of box_tilde's middle factor sum_i w_i zs^i (x) z^i,
+# q^-2 (1(x)1 - (1+q^-2) zs(x)z + q^-2 zs^2(x)z^2)
+_QM2 = QScalar.q_power(-2)
+_MID_W = (_QM2, -(ONE + _QM2) * _QM2, _QM2 * _QM2)
 
 
 def box(f: NCPoly) -> NCPoly:
     """The invariant second-order operator (1 - z zs)^2 d_zs d_z (left form).
 
-    Both defining expressions are evaluated, the left-weighted one with
-    left derivatives and q^2 times the right-derivative form weighted on
-    the right; they must agree, and a disagreement (impossible unless the
-    calculus itself is broken) raises.
+    It equals the right form q^2 (d^r_zs d^r_z f)(1 - z zs)^2; that is the
+    ``box-two-forms`` verify law, not a second computation on every call.
     """
-    left_inner = d_partial(f, "left", "z")
-    left_outer = d_partial(left_inner, "left", "zstar")
-    left_form = nc_mul(_W2, left_outer)
-
-    right_inner = d_partial(f, "right", "z")
-    right_outer = d_partial(right_inner, "right", "zstar")
-    right_form = nc_mul(right_outer, _W2).scale(_Q2)
-
-    if left_form != right_form:
-        raise RuntimeError("the two defining forms of box disagree")
-    return left_form
+    return nc_mul(_W2, d_partial(d_partial(f, "left", "z"), "left", "zstar"))
 
 
 def box_tilde(F: TensorPoly) -> TensorPoly:
     """Lift of box to the tensor square.
 
-    Term by term:  (d^(r)f1/dzs (x) 1) * MID * (1 (x) d^(l)f2/dz)  with the
-    fixed middle factor MID = q^-2 (1(x)1 - (1+q^-2) zs(x)z + q^-2 zs^2(x)z^2),
-    products taken leg-wise.
+    Term by term it is (d^(r)f1/dzs (x) 1) * MID * (1 (x) d^(l)f2/dz), with
+    the fixed middle factor MID = sum_i w_i zs^i (x) z^i above and products
+    taken leg-wise.  Each leg product only appends zs^i after zs^(b-1) or
+    puts z^i before z^(c-1), so on a monomial tensor
+
+        box_tilde(z^a zs^b (x) z^c zs^d)
+            = [b]_{q^-2} [c]_{q^-2} sum_{i=0..2} w_i z^a zs^(b-1+i) (x) z^(c-1+i) zs^d.
     """
     out: dict = {}
-    for (j1, k1, j2, k2), c in F.terms.items():
-        da = d_partial(NCPoly.monomial(j1, k1), "right", "zstar")
-        if da.is_zero():
+    for (a, b, c, d), coeff in F.terms.items():
+        if b == 0 or c == 0:
             continue
-        db = d_partial(NCPoly.monomial(j2, k2), "left", "z")
-        if db.is_zero():
-            continue
-        for (a1, b1, a2, b2), w in _MID.terms.items():
-            left = nc_mul(da, NCPoly.monomial(a1, b1))
-            right = nc_mul(NCPoly.monomial(a2, b2), db)
-            cw = c * w
-            for (lj, lk), cl in left.terms.items():
-                for (rj, rk), cr in right.terms.items():
-                    key = (lj, lk, rj, rk)
-                    v = cw * cl * cr
-                    prev = out.get(key)
-                    v = v if prev is None else prev + v
-                    if v.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
-    return TensorPoly(out)
+        cb = coeff * _qnum(b, b - 1) * _qnum(c, c - 1)
+        for i, w in enumerate(_MID_W):
+            key = (a, b - 1 + i, c - 1 + i, d)
+            out[key] = out[key] + cb * w if key in out else cb * w
+    return TensorPoly({key: v for key, v in out.items() if not v.is_zero()})
 
 
 def m0(F: TensorPoly) -> NCPoly:

@@ -115,25 +115,25 @@ def pk(k: int) -> PkPolynomial:
 
 
 @lru_cache(maxsize=None)
-def _ck_diff_coeffs(k: int) -> tuple:
-    """Coefficients of p_k - p_{k-1}, padded to degree k."""
+def pk_diff_coeffs(k: int) -> tuple:
+    """Coefficients of p_k - p_{k-1}, padded to degree k; k >= 1."""
     a = pk(k).coeffs
     b = pk(k - 1).coeffs + [ZERO]
     return tuple(x - y for x, y in zip(a, b))
 
 
-def _apply_poly_box_tilde(coeffs: tuple, F: TensorPoly) -> TensorPoly:
-    # Horner: k applications of box_tilde for a degree-k polynomial
-    out = F.scale(coeffs[-1])
+def apply_poly(coeffs: tuple, op, f):
+    """sum_i coeffs[i] op^i(f) by Horner: k applications of op for degree k."""
+    out = f.scale(coeffs[-1])
     for c in reversed(coeffs[:-1]):
-        out = box_tilde(out) + F.scale(c)
+        out = op(out) + f.scale(c)
     return out
 
 
 @lru_cache(maxsize=None)
 def _ck_mono(k: int, j1: int, k1: int, j2: int, k2: int) -> NCPoly:
     F = TensorPoly({(j1, k1, j2, k2): ONE})
-    return m0(_apply_poly_box_tilde(_ck_diff_coeffs(k), F))
+    return m0(apply_poly(pk_diff_coeffs(k), box_tilde, F))
 
 
 def ck(k: int, f1: NCPoly, f2: NCPoly) -> NCPoly:

@@ -170,10 +170,12 @@ def calculus_suite(seed: int = 0, max_degree: int = 4) -> list:
 
     fails = []
     monos = [(j, k) for j, k in _monomials(max_degree)]
+    w = NCPoly.one() - NCPoly.monomial(1, 1)
+    w2 = nc_mul(w, w)
     for jk in monos:
-        try:
-            box(NCPoly.monomial(*jk))
-        except RuntimeError:
+        f = NCPoly.monomial(*jk)
+        right = nc_mul(d_partial(d_partial(f, "right", "z"), "right", "zstar"), w2)
+        if box(f) != right.scale(QScalar.q_power(2)):
             fails.append(jk)
     checks.append(
         _check(

@@ -1,4 +1,4 @@
-"""Shared test helpers: an independent word-rewriting oracle and generators."""
+"""Shared test helpers: independent word-rewriting oracles and generators."""
 
 from __future__ import annotations
 
@@ -6,7 +6,7 @@ import random
 
 import pytest
 
-from qdisc import NCPoly, QScalar
+from qdisc import NCPoly, QScalar, d_partial, nc_mul
 
 Q2 = QScalar.q_power(2)
 ONE_MINUS_Q2 = QScalar.from_int(1) - Q2
@@ -45,6 +45,46 @@ def naive_monomial_product(a: int, b: int, c: int, d: int) -> NCPoly:
     """z^a zs^b * z^c zs^d via the brute-force rewriter."""
     word = ("z",) * a + ("zs",) * b + ("z",) * c + ("zs",) * d
     return NCPoly(naive_normal_order(word, QScalar.from_int(1)))
+
+
+# cost of swapping a differential letter rightward past a generator:
+#   dz * z   -> q^2  z  * dz        dz * zs  -> q^-2 zs * dz
+#   dzs * z  -> q^2  z  * dzs       dzs * zs -> q^-2 zs * dzs
+# (each line is one of the four bimodule relations read right-to-left)
+_RIGHT_COST = {"z": Q2, "zs": QScalar.q_power(-2)}
+_LEFT_COST = {"z": QScalar.q_power(-2), "zs": Q2}
+
+
+def naive_d_partial(f: NCPoly, side: str, variable: str) -> NCPoly:
+    """A partial derivative by rewriting d(word) one swap at a time.
+
+    Spells each monomial out as its letter word, applies the Leibniz rule
+    letter by letter and pushes the differential to the far right (right
+    derivatives) or far left (left) one bimodule relation at a time.  Knows
+    no closed-form coefficient: this is the oracle for ``d_partial``.
+    """
+    out = NCPoly.zero()
+    wrt = "z" if variable == "z" else "zs"
+    costs = _RIGHT_COST if side == "right" else _LEFT_COST
+    for (j, k), c in f.terms.items():
+        word = ("z",) * j + ("zs",) * k
+        for pos, letter in enumerate(word):
+            if letter != wrt:
+                continue
+            coeff = c
+            for g in word[pos + 1 :] if side == "right" else word[:pos]:
+                coeff = coeff * costs[g]
+            rest = word[:pos] + word[pos + 1 :]
+            # removing one letter from a sorted word leaves it sorted
+            out = out + NCPoly.monomial(rest.count("z"), rest.count("zs"), coeff)
+    return out
+
+
+def box_right_form(f: NCPoly) -> NCPoly:
+    """q^2 (d^r_zs d^r_z f)(1 - z zs)^2, the second defining form of box."""
+    w = NCPoly.one() - NCPoly.monomial(1, 1)
+    inner = d_partial(d_partial(f, "right", "z"), "right", "zstar")
+    return nc_mul(inner, nc_mul(w, w)).scale(Q2)
 
 
 @pytest.fixture

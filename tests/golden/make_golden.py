@@ -26,6 +26,10 @@ HERE = pathlib.Path(__file__).resolve().parent
 # (name, argv, stdin text or None).  Inputs with denominators make the
 # scalar core reduce rational functions; "2 - 3*q" and "1/2" put a
 # non-unit leading coefficient and a non-integral coefficient into play.
+# mixed exponents, a denominator and a non-integral coefficient for the
+# four partial derivatives
+DPARTIAL_POLY = "1/2*z^3*zs^2 + z^2*zs^3/(1-q) - q*z^4 + 3*zs^5 + z*zs"
+
 CASES = [
     ("star-T3-den", ["star", "zs^2/(1-q)", "z*zs", "--order", "3"], None),
     ("star-T4-den", ["star", "zs/(1+q) + z", "z^2/(1-q^2)", "--order", "4"], None),
@@ -38,6 +42,10 @@ CASES = [
     ("pk-6", ["pk", "6"], None),
     ("pk-6-latex", ["pk", "6", "--latex"], None),
     ("box-latex", ["box", "zs^2*z/(1-q) + 1/3*z", "--latex"], None),
+    ("dpartial-right-z", ["dpartial", DPARTIAL_POLY, "--side", "right", "--variable", "z"], None),
+    ("dpartial-right-zstar", ["dpartial", DPARTIAL_POLY, "--side", "right", "--variable", "zstar"], None),
+    ("dpartial-left-z", ["dpartial", DPARTIAL_POLY, "--side", "left", "--variable", "z"], None),
+    ("dpartial-left-zstar", ["dpartial", DPARTIAL_POLY, "--side", "left", "--variable", "zstar"], None),
     ("berezin", ["berezin", "2", "1", "--window", "4", "--cutoff", "9", "--order", "3"], None),
     ("berezin-expand", ["berezin-expand", "2", "1", "--terms", "4"], None),
     ("eval-expr", ["eval", "zs/(2-3*q) + z^2*(1+s)", "--s0", "3/7"], None),

@@ -38,6 +38,8 @@ from qdisc.uqsl2 import (
     defining_relations,
 )
 
+from conftest import box_right_form
+
 SEED = 20260810
 M_CUTOFF = 16
 T_ORDER = 3
@@ -157,7 +159,8 @@ def test_criterion_7_calculus_identity():
             assert box(nc_mul(f2, f1)) == m0(box_tilde(TensorPoly.from_polys(f2, f1)))
     for j in range(5):
         for k in range(5):
-            box(NCPoly.monomial(j, k))  # raises if the two defining forms split
+            f = NCPoly.monomial(j, k)
+            assert box(f) == box_right_form(f), (j, k)
     _elapsed_line(7, "box factorization and two-form agreement", t0, 30)
 
 

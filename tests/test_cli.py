@@ -232,3 +232,11 @@ def test_large_exponent_normal_ordering_does_not_recurse():
     assert code == 0
     assert payload["schema"] == 1
     assert dict((tuple(jk), c) for jk, c in payload["terms"][0])[(0, 1199)] == "1 - s^4800"
+
+
+def test_long_holomorphic_word_in_deformation():
+    # the deformation differentiates z^1200: 1200 letters in one derivative
+    code, payload = run_cli("star", "zs", "z^1200", "--order", "1")
+    assert code == 0
+    assert payload["schema"] == 1
+    assert dict((tuple(jk), c) for jk, c in payload["terms"][0])[(1199, 0)] == "1 - s^4800"

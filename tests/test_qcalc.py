@@ -1,5 +1,8 @@
 """Tests for the partial derivatives, box, its tensor lift, and m0."""
 
+import itertools
+from fractions import Fraction
+
 import pytest
 
 from qdisc import (
@@ -14,10 +17,14 @@ from qdisc import (
     d_partial,
     m0,
     nc_mul,
+    tensor_mul,
 )
+
+from conftest import box_right_form, naive_d_partial
 
 Q2 = QScalar.q_power(2)
 QM2 = QScalar.q_power(-2)
+SIDES_AND_VARIABLES = [(side, var) for side in ("right", "left") for var in ("z", "zstar")]
 
 
 # -- partial derivatives -------------------------------------------------------
@@ -56,6 +63,23 @@ def test_derivative_is_linear(rng, rand_ncpoly):
         for side in ("left", "right"):
             for var in ("z", "zstar"):
                 assert d_partial(f + g, side, var) == d_partial(f, side, var) + d_partial(g, side, var)
+
+
+def test_closed_forms_match_word_rewriting_on_monomials():
+    for j in range(7):
+        for k in range(7):
+            f = NCPoly.monomial(j, k)
+            for side, var in SIDES_AND_VARIABLES:
+                assert d_partial(f, side, var) == naive_d_partial(f, side, var), (j, k, side, var)
+
+
+def test_closed_forms_match_word_rewriting_on_polynomials(rng, rand_ncpoly):
+    for _ in range(40):
+        f = rand_ncpoly(rng, max_exp=5, nterms=4) + NCPoly.monomial(
+            rng.randint(0, 5), rng.randint(0, 5), Fraction(rng.randint(1, 5), rng.randint(2, 7))
+        )
+        for side, var in SIDES_AND_VARIABLES:
+            assert d_partial(f, side, var) == naive_d_partial(f, side, var), (f, side, var)
 
 
 def test_bad_arguments():
@@ -106,20 +130,28 @@ def test_box_of_relation_product():
     w = NCPoly.one() - NCPoly.monomial(1, 1)
     by_hand = nc_mul(nc_mul(w, w), d_partial(d_partial(f, "left", "z"), "left", "zstar"))
     assert box(f) == by_hand
-    # and the right form agrees (box checks this internally, assert again here)
-    right = nc_mul(
-        d_partial(d_partial(f, "right", "z"), "right", "zstar"), nc_mul(w, w)
-    ).scale(Q2)
-    assert box(f) == right
+    # and the right form, built from right derivatives, gives the same
+    assert box(f) == box_right_form(f)
 
 
 def test_box_two_forms_agree_on_monomials():
     for j in range(5):
         for k in range(5):
-            box(NCPoly.monomial(j, k))  # raises if the two forms split
+            f = NCPoly.monomial(j, k)
+            assert box(f) == box_right_form(f), (j, k)
 
 
 # -- box_tilde ---------------------------------------------------------------------
+
+
+# middle factor of box_tilde: q^-2 (1(x)1 - (1+q^-2) zs(x)z + q^-2 zs^2(x)z^2)
+MID = TensorPoly(
+    {
+        (0, 0, 0, 0): QM2,
+        (0, 1, 1, 0): -(ONE + QM2) * QM2,
+        (0, 2, 2, 0): QM2 * QM2,
+    }
+)
 
 
 def test_box_tilde_kills_holomorphic_first_leg(rng, rand_ncpoly):
@@ -130,15 +162,18 @@ def test_box_tilde_kills_holomorphic_first_leg(rng, rand_ncpoly):
 
 
 def test_box_tilde_on_generators_is_middle_factor():
-    got = box_tilde(TensorPoly.from_polys(ZS, Z))
-    want = TensorPoly(
-        {
-            (0, 0, 0, 0): QM2,
-            (0, 1, 1, 0): -(ONE + QM2) * QM2,
-            (0, 2, 2, 0): QM2 * QM2,
-        }
-    )
-    assert got == want
+    assert box_tilde(TensorPoly.from_polys(ZS, Z)) == MID
+
+
+def test_box_tilde_matches_general_route_on_monomial_tensors():
+    # (d^r f1/dzs (x) 1) * MID * (1 (x) d^l f2/dz) with rewritten derivatives
+    # and general leg-wise products
+    one = NCPoly.one()
+    for a, b, c, d in itertools.product(range(4), repeat=4):
+        da = naive_d_partial(NCPoly.monomial(a, b), "right", "zstar")
+        db = naive_d_partial(NCPoly.monomial(c, d), "left", "z")
+        want = tensor_mul(tensor_mul(TensorPoly.from_polys(da, one), MID), TensorPoly.from_polys(one, db))
+        assert box_tilde(TensorPoly({(a, b, c, d): ONE})) == want, (a, b, c, d)
 
 
 def test_box_tilde_linear(rng, rand_ncpoly):
