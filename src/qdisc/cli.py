@@ -81,7 +81,8 @@ def latex_scalar(x: QScalar) -> str:
 
     num = poly(x.num)
     if x.den == {0: 1}:
-        return num
+        # a bare sum is bracketed, so a monomial or x^i after it multiplies all of it
+        return rf"\left({num}\right)" if len(x.num) > 1 else num
     return rf"\frac{{{num}}}{{{poly(x.den)}}}"
 
 
@@ -96,12 +97,10 @@ def latex_ncpoly(f: NCPoly) -> str:
             mono += "z" if j == 1 else f"z^{{{j}}}"
         if k:
             mono += r" z^{*}" if k == 1 else rf" (z^{{*}})^{{{k}}}"
-        cs = latex_scalar(c)
         if mono and c.is_one():
             parts.append(mono.strip())
         else:
-            wrapped = rf"\left({cs}\right)" if (" + " in cs or " - " in cs) else cs
-            parts.append((wrapped + " " + mono).strip())
+            parts.append((latex_scalar(c) + " " + mono).strip())
     return " + ".join(parts)
 
 

@@ -22,7 +22,7 @@ from functools import lru_cache
 from .qcalc import box
 from .qpoly import NCPoly, WindowedSeries, nc_mul
 from .scalar import QScalar, TSeries, qpochhammer
-from .star import StarSeries, apply_poly, pk_diff_coeffs
+from .star import StarSeries, pk_images
 
 
 class ValidityError(ValueError):
@@ -310,5 +310,5 @@ def berezin_expansion(j: int, k: int, terms: int) -> list:
     """
     if terms < 0:
         raise ValueError("need terms >= 0")
-    f0 = nc_mul(NCPoly.monomial(0, j), NCPoly.monomial(k, 0))
-    return [f0] + [apply_poly(pk_diff_coeffs(n), box, f0) for n in range(1, terms + 1)]
+    u = pk_images(box, nc_mul(NCPoly.monomial(0, j), NCPoly.monomial(k, 0)), terms)
+    return [u[0]] + [u[n] - u[n - 1] for n in range(1, terms + 1)]

@@ -7,6 +7,10 @@ polynomials p_k and multiplying the legs back together:
 
     C_k(f1, f2) = m0( (p_k(box_tilde) - p_{k-1}(box_tilde)) (f1 (x) f2) ).
 
+All p_k(op) come from one three-term recurrence (``pk_images``), and
+C_k(z^a zs^b, z^c zs^d) = z^a C_k(zs^b, z^c) zs^d, so one memoized chain per
+(zs^b, z^c) sector gives C_1..C_T and star costs a polynomial in T.
+
 Truncations at a run-wide t-order are the only objects ever materialized;
 the Cauchy product of truncations (``m_series``) and the termwise
 involution make the truncated series ring a *-algebra.
@@ -17,8 +21,11 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qcalc import box_tilde, m0
-from .qpoly import NCPoly, TensorPoly, nc_mul
-from .scalar import ONE, QScalar, ZERO, qpochhammer
+from .qpoly import NCPoly, TensorPoly, nc_mul, nc_mul_left_z_power, nc_mul_right_zstar_power
+from .scalar import ONE, QScalar, ZERO
+
+_Q = QScalar.q_power(2)
+_ONE_MINUS_Q_SQ = (ONE - _Q) ** 2
 
 
 class PkPolynomial:
@@ -71,69 +78,51 @@ class PkPolynomial:
         return f"PkPolynomial({self})"
 
 
-def _poly_x_mul(a: list, b: list) -> list:
-    out = [ZERO] * (len(a) + len(b) - 1)
-    for i, ca in enumerate(a):
-        if ca.is_zero():
-            continue
-        for j, cb in enumerate(b):
-            out[i + j] = out[i + j] + ca * cb
-    return out
+def pk_images(op, f, order: int) -> list:
+    """[p_0(op) f, ..., p_order(op) f], one application of the linear op per order.
+
+    With Q = q^2, p_0 = 1 and p_-1 = 0 the p_k obey the Al-Salam-Chihara
+    recurrence (Koekoek-Lesky-Swarttouw, section 14.8)
+
+        (1 - Q^(k+1)) p_(k+1) = ((1-Q)^2 x + 1 + Q - 2 Q^(k+1)) p_k - Q (1 - Q^k) p_(k-1).
+
+    It runs on P_k = (Q; Q)_k p_k, where the p_(k-1) factor is Q (1 - Q^k)^2
+    and no recurrence coefficient has a denominator; each image is divided
+    by (Q; Q)_k once.  ``f`` needs ``+``, ``-`` and ``.scale``.
+    """
+    chain, norms = [f], [ONE]
+    for k in range(order):
+        qk1 = QScalar.q_power(2 * k + 2)
+        nxt = op(chain[k]).scale(_ONE_MINUS_Q_SQ) + chain[k].scale(ONE + _Q - qk1 - qk1)
+        if k:
+            qk = ONE - QScalar.q_power(2 * k)
+            nxt = nxt - chain[k - 1].scale(_Q * qk * qk)
+        chain.append(nxt)
+        norms.append(norms[k] * (ONE - qk1))
+    return [u.scale(ONE / n) for u, n in zip(chain, norms)]
 
 
 @lru_cache(maxsize=None)
 def pk(k: int) -> PkPolynomial:
-    """The degree-k expansion polynomial.
+    """The degree-k expansion polynomial: the recurrence of ``pk_images`` with op = x.
 
-    p_k(x) = sum_{j=0}^{k} (q^-2k; q^2)_j / (q^2; q^2)_j^2 * q^2j
-             * prod_{i=0}^{j-1} (1 - q^2i ((1-q^2)^2 x + 1 + q^2) + q^(4i+2)).
-
-    The j-sum stops at k because (q^-2k; q^2)_j vanishes for j > k, which
-    is what pins the degree to exactly k; p_k(0) = 1 because the i = 0
-    factor vanishes at x = 0 for every j >= 1.
+    The z^i form a commutative ring, so left multiplication by z stands in
+    for x.  The tests check p_k against its terminating j-sum for k <= 12.
     """
     if k < 0:
         raise ValueError("pk needs k >= 0")
-    one_minus_q2_sq = (ONE - QScalar.q_power(2)) ** 2
-    total = [ZERO] * (k + 1)
-    for j in range(k + 1):
-        outer = qpochhammer(QScalar.q_power(-2 * k), 2, j)
-        if outer.is_zero():
-            continue
-        denom = qpochhammer(QScalar.q_power(2), 2, j) ** 2
-        scale = outer / denom * QScalar.q_power(2 * j)
-        # the inner product expanded symbolically in x
-        prod = [ONE]
-        for i in range(j):
-            q2i = QScalar.q_power(2 * i)
-            const = ONE - q2i * (ONE + QScalar.q_power(2)) + QScalar.q_power(4 * i + 2)
-            linear = -(q2i * one_minus_q2_sq)
-            prod = _poly_x_mul(prod, [const, linear])
-        for i, c in enumerate(prod):
-            total[i] = total[i] + scale * c
-    return PkPolynomial(k, total)
+    xk = pk_images(lambda g: nc_mul_left_z_power(1, g), NCPoly.one(), k)[k]
+    return PkPolynomial(k, [xk.coefficient(i, 0) for i in range(k + 1)])
 
 
 @lru_cache(maxsize=None)
-def pk_diff_coeffs(k: int) -> tuple:
-    """Coefficients of p_k - p_{k-1}, padded to degree k; k >= 1."""
-    a = pk(k).coeffs
-    b = pk(k - 1).coeffs + [ZERO]
-    return tuple(x - y for x, y in zip(a, b))
+def _ck_mono(b: int, c: int, order: int) -> tuple:
+    """(C_1, ..., C_order)(zs^b, z^c) for b, c >= 1.
 
-
-def apply_poly(coeffs: tuple, op, f):
-    """sum_i coeffs[i] op^i(f) by Horner: k applications of op for degree k."""
-    out = f.scale(coeffs[-1])
-    for c in reversed(coeffs[:-1]):
-        out = op(out) + f.scale(c)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _ck_mono(k: int, j1: int, k1: int, j2: int, k2: int) -> NCPoly:
-    F = TensorPoly({(j1, k1, j2, k2): ONE})
-    return m0(apply_poly(pk_diff_coeffs(k), box_tilde, F))
+    C_k = m0(u_k) - m0(u_(k-1)) with u_k = p_k(box_tilde)(zs^b (x) z^c).
+    """
+    m = [m0(u) for u in pk_images(box_tilde, TensorPoly({(0, b, c, 0): ONE}), order)]
+    return tuple(m[k] - m[k - 1] for k in range(1, order + 1))
 
 
 def ck(k: int, f1: NCPoly, f2: NCPoly) -> NCPoly:
@@ -144,11 +133,7 @@ def ck(k: int, f1: NCPoly, f2: NCPoly) -> NCPoly:
     """
     if k < 1:
         raise ValueError("ck is defined for k >= 1 only")
-    out = NCPoly.zero()
-    for (j1, k1), c1 in f1.terms.items():
-        for (j2, k2), c2 in f2.terms.items():
-            out = out + _ck_mono(k, j1, k1, j2, k2).scale(c1 * c2)
-    return out
+    return star(f1, f2, k).coeffs[k]
 
 
 class StarSeries:
@@ -228,12 +213,24 @@ class StarSeries:
 
 
 def star(f1: NCPoly, f2: NCPoly, order: int) -> StarSeries:
-    """The deformed product of two polynomials, truncated at t^order."""
+    """The deformed product of two polynomials, truncated at t^order.
+
+    Term pairs z^a zs^b, z^c zs^d with b = 0 or c = 0 are skipped: box_tilde
+    kills them and (p_k - p_(k-1))(0) = 0.
+    """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    coeffs = [nc_mul(f1, f2)]
-    for k in range(1, order + 1):
-        coeffs.append(ck(k, f1, f2))
+    coeffs = [nc_mul(f1, f2)] + [NCPoly.zero()] * order
+    for (a, b), c1 in f1.terms.items():
+        if b == 0:
+            continue
+        for (c, d), c2 in f2.terms.items():
+            if c == 0:
+                continue
+            w = c1 * c2
+            for k, sector in enumerate(_ck_mono(b, c, order), start=1):
+                shifted = nc_mul_left_z_power(a, nc_mul_right_zstar_power(d, sector))
+                coeffs[k] = coeffs[k] + shifted.scale(w)
     return StarSeries(coeffs, order)
 
 

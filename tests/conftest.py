@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import random
+from functools import lru_cache
 
 import pytest
 
-from qdisc import NCPoly, QScalar, d_partial, nc_mul
+from qdisc import NCPoly, PkPolynomial, QScalar, TensorPoly, box, box_tilde, d_partial, m0, nc_mul
+from qdisc.scalar import ONE, ZERO, qpochhammer
 
 Q2 = QScalar.q_power(2)
 ONE_MINUS_Q2 = QScalar.from_int(1) - Q2
@@ -85,6 +87,57 @@ def box_right_form(f: NCPoly) -> NCPoly:
     w = NCPoly.one() - NCPoly.monomial(1, 1)
     inner = d_partial(d_partial(f, "right", "z"), "right", "zstar")
     return nc_mul(inner, nc_mul(w, w)).scale(Q2)
+
+
+@lru_cache(maxsize=None)
+def pk_sum_formula(k: int) -> PkPolynomial:
+    """p_k from its terminating basic hypergeometric sum, expanded in x.
+
+    p_k(x) = sum_{j=0}^{k} (q^-2k; q^2)_j / (q^2; q^2)_j^2 * q^2j
+             * prod_{i=0}^{j-1} (1 - q^2i ((1-q^2)^2 x + 1 + q^2) + q^(4i+2)).
+
+    Knows nothing of the three-term recurrence: this is the oracle for ``pk``.
+    """
+    one_minus_q2_sq = (ONE - Q2) ** 2
+    total = [ZERO] * (k + 1)
+    for j in range(k + 1):
+        outer = qpochhammer(QScalar.q_power(-2 * k), 2, j)
+        if outer.is_zero():
+            continue
+        scale = outer / qpochhammer(Q2, 2, j) ** 2 * QScalar.q_power(2 * j)
+        prod = [ONE]  # the inner product as coefficients of x^0, x^1, ...
+        for i in range(j):
+            q2i = QScalar.q_power(2 * i)
+            const = ONE - q2i * (ONE + Q2) + QScalar.q_power(4 * i + 2)
+            linear = -(q2i * one_minus_q2_sq)
+            prod = [
+                (prod[n] * const if n < len(prod) else ZERO) + (prod[n - 1] * linear if n else ZERO)
+                for n in range(len(prod) + 1)
+            ]
+        for n, c in enumerate(prod):
+            total[n] = total[n] + scale * c
+    return PkPolynomial(k, total)
+
+
+def horner_pk_diff(k: int, op, f):
+    """(p_k - p_(k-1))(op) f by Horner: k applications of op, k >= 1."""
+    a, b = pk_sum_formula(k).coeffs, pk_sum_formula(k - 1).coeffs + [ZERO]
+    coeffs = [x - y for x, y in zip(a, b)]
+    out = f.scale(coeffs[-1])
+    for c in reversed(coeffs[:-1]):
+        out = op(out) + f.scale(c)
+    return out
+
+
+def ck_horner(k: int, f1: NCPoly, f2: NCPoly) -> NCPoly:
+    """C_k(f1, f2) = m0((p_k - p_(k-1))(box_tilde) (f1 (x) f2)) on the whole tensor."""
+    return m0(horner_pk_diff(k, box_tilde, TensorPoly.from_polys(f1, f2)))
+
+
+def berezin_horner(j: int, k: int, terms: int) -> list:
+    """The berezin expansion terms with (p_n - p_(n-1))(box) applied by Horner."""
+    f0 = nc_mul(NCPoly.monomial(0, j), NCPoly.monomial(k, 0))
+    return [f0] + [horner_pk_diff(n, box, f0) for n in range(1, terms + 1)]
 
 
 @pytest.fixture

@@ -48,6 +48,11 @@ CASES = [
     ("dpartial-left-zstar", ["dpartial", DPARTIAL_POLY, "--side", "left", "--variable", "zstar"], None),
     ("berezin", ["berezin", "2", "1", "--window", "4", "--cutoff", "9", "--order", "3"], None),
     ("berezin-expand", ["berezin-expand", "2", "1", "--terms", "4"], None),
+    # high orders: long p_k chains on a sector with b, c > 1
+    ("star-T8-high", ["star", "z^2*zs^2", "z^2*zs^2", "--order", "8"], None),
+    ("pk-12", ["pk", "12"], None),
+    ("ck-6-den", ["ck", "6", "zs^3/(1-q)", "z^2"], None),
+    ("berezin-expand-T6", ["berezin-expand", "2", "2", "--terms", "6"], None),
     ("eval-expr", ["eval", "zs/(2-3*q) + z^2*(1+s)", "--s0", "3/7"], None),
     (
         "eval-stdin",

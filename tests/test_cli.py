@@ -191,6 +191,20 @@ def test_latex_emission():
     assert "latex" in payload and "t" in payload["latex"]
 
 
+def test_latex_brackets_multi_term_coefficients():
+    # the coefficient of z zs is -s^4 - s^8; unbracketed, z zs would bind to -s^8 alone
+    code, payload = run_cli("box", "zs*z", "--latex")
+    assert code == 0
+    assert payload["latex"] == (
+        r"s^{4} + \left(-s^{4} -s^{8}\right) z z^{*} + s^{8} z^{2} (z^{*})^{2}"
+    )
+    code, payload = run_cli("pk", "2", "--latex")
+    assert code == 0
+    assert payload["latex"] == (
+        r"1 x^{0} + \left(2 -2 s^{4}\right) x^{1} + \frac{1 -2 s^{4} +s^{8}}{1 +s^{4}} x^{2}"
+    )
+
+
 def _assert_rejected(code, payload, name):
     assert code == 2
     assert payload["schema"] == 1

@@ -25,6 +25,8 @@ from qdisc import (
 )
 from qdisc.star import StarSeries
 
+from conftest import berezin_horner
+
 M, T = 16, 3
 Q2 = QScalar.q_power(2)
 
@@ -230,6 +232,12 @@ def test_expansion_leading_term_is_normal_ordered_symbol():
     for j, k in [(1, 1), (2, 1), (1, 2)]:
         terms = berezin_expansion(j, k, 1)
         assert terms[0] == nc_mul(NCPoly.monomial(0, j), NCPoly.monomial(k, 0))
+
+
+def test_expansion_matches_horner_route():
+    for j in range(3):
+        for k in range(3):
+            assert berezin_expansion(j, k, 5) == berezin_horner(j, k, 5), (j, k)
 
 
 def test_transform_matches_expansion():

@@ -1,5 +1,7 @@
 """Tests for the expansion polynomials and the deformed product."""
 
+from fractions import Fraction
+
 import pytest
 
 from qdisc import (
@@ -19,6 +21,8 @@ from qdisc import (
     series_involution,
     star,
 )
+
+from conftest import ck_horner, pk_sum_formula
 
 Q2 = QScalar.q_power(2)
 
@@ -41,6 +45,12 @@ def test_pk_degree_and_constant_term():
         assert p.degree() == k
         assert p.coeffs[0] == ONE
         assert p(QScalar.from_int(0)) == ONE
+
+
+def test_pk_matches_sum_formula():
+    # the three-term recurrence against the terminating j-sum, exactly
+    for k in range(13):
+        assert pk(k) == pk_sum_formula(k), k
 
 
 def test_pk_rejects_negative():
@@ -76,6 +86,15 @@ def test_ck_zero_rejected():
         ck(0, Z, ZS)
 
 
+def test_ck_matches_horner_route(rng, rand_ncpoly):
+    # polynomials with several terms, one of them carrying a Fraction
+    for k in (1, 2, 3):
+        for _ in range(4):
+            f1 = rand_ncpoly(rng, 2, 3) + NCPoly.monomial(1, 2, Fraction(1, 2))
+            f2 = rand_ncpoly(rng, 2, 3)
+            assert ck(k, f1, f2) == ck_horner(k, f1, f2), (k, f1, f2)
+
+
 def test_ck_bilinear(rng, rand_ncpoly):
     for _ in range(10):
         f1, g1 = rand_ncpoly(rng, 2, 2), rand_ncpoly(rng, 2, 2)
@@ -107,6 +126,17 @@ def test_star_zs_z_assembled():
     st = star(ZS, Z, 1)
     assert st.coeffs[0] == nc_mul(ZS, Z)
     assert st.coeffs[1] == ck(1, ZS, Z)
+
+
+def test_star_matches_horner_route_on_monomial_pairs():
+    # every pair z^a zs^b, z^c zs^d with exponents <= 2; a, d > 0 exercise
+    # the outer shifts C_k(z^a zs^b, z^c zs^d) = z^a C_k(zs^b, z^c) zs^d
+    T = 5
+    monomials = [NCPoly.monomial(j, k) for j in range(3) for k in range(3)]
+    for f1 in monomials:
+        for f2 in monomials:
+            want = (nc_mul(f1, f2),) + tuple(ck_horner(k, f1, f2) for k in range(1, T + 1))
+            assert star(f1, f2, T).coeffs == want, (f1, f2)
 
 
 def test_star_negative_order_rejected():
