@@ -57,6 +57,10 @@ from .expr import EvalError, ParseError, parse, parse_ncpoly, parse_scalar, to_n
 
 __version__ = "0.1.0"
 
+# the suites of ``qdisc.verify``, named here so that the CLI parser can list
+# them without importing that module
+VERIFY_SUITES = ("rewrite", "calculus", "star", "oracle", "berezin", "uq")
+
 __all__ = [
     "QScalar",
     "TSeries",
@@ -118,5 +122,6 @@ __all__ = [
     "parse_scalar",
     "ParseError",
     "EvalError",
+    "VERIFY_SUITES",
     "__version__",
 ]

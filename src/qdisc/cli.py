@@ -14,7 +14,7 @@ import json
 import sys
 from fractions import Fraction
 
-from . import verify as verify_mod
+from . import VERIFY_SUITES
 from .expr import EvalError, ParseError, parse_ncpoly, parse_scalar
 from .fockrep import (
     InsufficientCutoffError,
@@ -217,6 +217,9 @@ def _cmd_berezin_expand(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    # imported here so that no other command pays for loading the suites
+    from . import verify as verify_mod
+
     report = verify_mod.run_suites(
         args.suite,
         seed=args.seed,
@@ -299,7 +302,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_berezin_expand)
 
     p = sub.add_parser("verify", help="run exact verification suites")
-    p.add_argument("suite", nargs="+", choices=tuple(verify_mod.SUITES) + ("all",))
+    p.add_argument("suite", nargs="+", choices=VERIFY_SUITES + ("all",))
     p.add_argument("--t-order", dest="t_order", type=int, default=DEFAULT_T_ORDER)
     p.add_argument("--max-degree", dest="max_degree", type=int, default=DEFAULT_MAX_DEGREE)
     p.add_argument("--cutoff", type=int, default=DEFAULT_CUTOFF)

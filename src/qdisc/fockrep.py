@@ -8,11 +8,16 @@ shifts with rational-in-t matrix elements,
 Taylor-expanded in t to the run order.  Composing these finite matrices is
 exact, which turns the deformed product's coefficient formulas into a
 finite equality check: mapping a truncated star series through ``q_map``
-must agree with the matrix product of the factors' images.
+must agree with the matrix product of the factors' images.  ``q_map`` and
+``i_op_poly`` add every term into one accumulator of coefficient lists, and
+the t^n coefficient of a series scales only the t-orders 0..order-n of each
+column value, the ones its shift by t^n keeps.
 
 ``covariant_symbol`` inverts the picture (unique coefficients within a
-declared window), and ``berezin`` / ``berezin_expansion`` give the two
-independent routes to the symbol of zhat_star^j zhat^k.
+declared window), dividing by the closed-form column inverse
+(t q^2m; q^-2)_k / (q^2m; q^-2)_k rather than inverting a series, and
+``berezin`` / ``berezin_expansion`` give the two independent routes to the
+symbol of zhat_star^j zhat^k.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from functools import lru_cache
 
 from .qcalc import box
 from .qpoly import NCPoly, WindowedSeries, nc_mul
-from .scalar import QScalar, TSeries, qpochhammer
+from .scalar import ONE, ZERO, QScalar, TSeries, qpochhammer
 from .star import StarSeries, pk_images
 
 
@@ -114,12 +119,6 @@ class FockOp:
             self.raise_bound,
         )
 
-    def tshift(self, j: int) -> "FockOp":
-        """Multiply every entry by t^j (re-truncated)."""
-        return FockOp(
-            self.M, self.order, {key: v.tshift(j) for key, v in self.entries.items()}, self.raise_bound
-        )
-
     def __mul__(self, other: "FockOp") -> "FockOp":
         """Composition self after other; validity bounds add."""
         if not isinstance(other, FockOp):
@@ -192,6 +191,22 @@ def _column_value(k: int, m: int, order: int) -> TSeries:
 
 
 @lru_cache(maxsize=None)
+def _column_inverse(k: int, m: int, order: int) -> TSeries:
+    """1 / _column_value(k, m, order) = (t q^2m; q^-2)_k / (q^2m; q^-2)_k, for k <= m.
+
+    The numerator is a polynomial of degree k in t, so the inverse is that
+    polynomial, truncated, times one scalar inverse: no series inversion.
+    """
+    poly = [ONE] + [ZERO] * order
+    for i in range(k):
+        x = QScalar.q_power(2 * (m - i))
+        for n in range(min(i + 1, order), 0, -1):
+            poly[n] = poly[n] - x * poly[n - 1]
+    inv = ONE / qpochhammer(QScalar.q_power(2 * m), -2, k)
+    return TSeries([c * inv for c in poly], order)
+
+
+@lru_cache(maxsize=None)
 def i_op(j: int, k: int, M: int, order: int) -> FockOp:
     """The operator image of the monomial z^j zs^k on the cutoff basis."""
     if j < 0 or k < 0:
@@ -205,15 +220,38 @@ def i_op(j: int, k: int, M: int, order: int) -> FockOp:
     return FockOp(M, order, entries, max(j - k, 0))
 
 
+def _accumulate(acc: dict, f: NCPoly, n: int, M: int, order: int) -> int:
+    """Add t^n times the action of f into acc; return the largest raise j - k.
+
+    ``acc`` maps (row, col) to a list of order + 1 coefficients.  Column m
+    of z^j zs^k is ``_column_value(k, m, order)``, and after the shift by
+    t^n only its coefficients 0..order-n survive, so only those are scaled
+    by the term's coefficient (not at all when it is one).
+    """
+    keep = order + 1 - n
+    bound = 0
+    for (j, k), c in f.terms.items():
+        bound = max(bound, j - k)
+        unit = c.is_one()
+        for m in range(k, min(M, M + k - j) + 1):
+            key = (m - k + j, m)
+            row = acc.get(key)
+            if row is None:
+                row = acc[key] = [ZERO] * (order + 1)
+            cv = _column_value(k, m, order).coeffs
+            for i in range(keep):
+                row[n + i] = row[n + i] + (cv[i] if unit else cv[i] * c)
+    return bound
+
+
+def _from_accumulator(acc: dict, M: int, order: int, bound: int) -> FockOp:
+    return FockOp(M, order, {key: TSeries(v, order) for key, v in acc.items()}, bound)
+
+
 def i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
     """Linear extension of the monomial action to any polynomial."""
-    out = FockOp.zero(M, order)
-    for (j, k), c in f.terms.items():
-        op = i_op(j, k, M, order)
-        if not c.is_one():
-            op = FockOp(M, order, {key: v * c for key, v in op.entries.items()}, op.raise_bound)
-        out = out + op
-    return out
+    acc: dict = {}
+    return _from_accumulator(acc, M, order, _accumulate(acc, f, 0, M, order))
 
 
 def zhat(M: int, order: int) -> FockOp:
@@ -235,14 +273,17 @@ def zhat_star(M: int, order: int) -> FockOp:
 
 
 def q_map(psi: StarSeries, M: int) -> FockOp:
-    """Map a truncated star series to operators: t^n coefficient via i_op, shifted."""
+    """Map a truncated star series to operators: the t^n coefficient acts shifted by t^n.
+
+    All coefficients go into one accumulator, each entry only up to the
+    t-order its shift keeps.
+    """
     order = psi.order
-    out = FockOp.zero(M, order)
+    acc: dict = {}
+    bound = 0
     for n, f in enumerate(psi.coeffs):
-        if f.is_zero():
-            continue
-        out = out + i_op_poly(f, M, order).tshift(n)
-    return out
+        bound = max(bound, _accumulate(acc, f, n, M, order))
+    return _from_accumulator(acc, M, order, bound)
 
 
 class CovariantSymbolError(ValueError):
@@ -278,7 +319,7 @@ def covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
             for k, a in enumerate(solved, start=k_min):
                 if not a.is_zero():
                     residual = residual - a * _column_value(k, m, order)
-            solved.append(residual / _column_value(m, m, order))
+            solved.append(residual * _column_inverse(m, m, order))
         # re-check the solved columns; a mismatch means A is not graded-consistent
         for m in range(k_min, k_max + 1):
             acc = TSeries.zero(order)

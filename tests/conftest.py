@@ -7,7 +7,19 @@ from functools import lru_cache
 
 import pytest
 
-from qdisc import NCPoly, PkPolynomial, QScalar, TensorPoly, box, box_tilde, d_partial, m0, nc_mul
+from qdisc import (
+    FockOp,
+    NCPoly,
+    PkPolynomial,
+    QScalar,
+    TensorPoly,
+    box,
+    box_tilde,
+    d_partial,
+    i_op,
+    m0,
+    nc_mul,
+)
 from qdisc.scalar import ONE, ZERO, qpochhammer
 
 Q2 = QScalar.q_power(2)
@@ -138,6 +150,33 @@ def berezin_horner(j: int, k: int, terms: int) -> list:
     """The berezin expansion terms with (p_n - p_(n-1))(box) applied by Horner."""
     f0 = nc_mul(NCPoly.monomial(0, j), NCPoly.monomial(k, 0))
     return [f0] + [horner_pk_diff(n, box, f0) for n in range(1, terms + 1)]
+
+
+def naive_i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
+    """Sum of c * i_op(j, k) over the terms of f, through ``FockOp.__add__``."""
+    out = FockOp.zero(M, order)
+    for (j, k), c in f.terms.items():
+        op = i_op(j, k, M, order)
+        if not c.is_one():
+            op = FockOp(M, order, {key: v * c for key, v in op.entries.items()}, op.raise_bound)
+        out = out + op
+    return out
+
+
+def naive_q_map(psi, M: int) -> FockOp:
+    """Sum over n of t^n times the whole image of the t^n coefficient.
+
+    Scales every entry in full and only then drops what the shift pushes past
+    the truncation order: the oracle for the accumulating ``q_map``.
+    """
+    order = psi.order
+    out = FockOp.zero(M, order)
+    for n, f in enumerate(psi.coeffs):
+        if f.is_zero():
+            continue
+        op = naive_i_op_poly(f, M, order)
+        out = out + FockOp(M, order, {key: v.tshift(n) for key, v in op.entries.items()}, op.raise_bound)
+    return out
 
 
 @pytest.fixture

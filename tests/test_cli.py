@@ -2,16 +2,18 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 
+import qdisc
 from qdisc.cli import main
 
 
 def run_cli(*argv, stdin_text=None):
     buf = io.StringIO()
     if stdin_text is not None:
-        import sys
-
         old = sys.stdin
         sys.stdin = io.StringIO(stdin_text)
         try:
@@ -174,12 +176,12 @@ def test_verify_rewrite_deterministic_under_seed():
 
 
 def test_verify_failure_exits_one(monkeypatch):
-    import qdisc.cli as cli_mod
+    import qdisc.verify as verify_mod
 
     def fake_run_suites(*args, **kwargs):
         return {"schema": 1, "suites": {"x": [{"law": "l", "passed": False}]}, "passed": False}
 
-    monkeypatch.setattr(cli_mod.verify_mod, "run_suites", fake_run_suites)
+    monkeypatch.setattr(verify_mod, "run_suites", fake_run_suites)
     code, payload = run_cli("verify", "star")
     assert code == 1
     assert payload["passed"] is False
@@ -254,3 +256,11 @@ def test_long_holomorphic_word_in_deformation():
     assert code == 0
     assert payload["schema"] == 1
     assert dict((tuple(jk), c) for jk, c in payload["terms"][0])[(1199, 0)] == "1 - s^4800"
+
+
+def test_cli_import_leaves_verify_unloaded():
+    src = os.path.dirname(os.path.dirname(qdisc.__file__))
+    code = "import sys, qdisc.cli; print('qdisc.verify' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"

@@ -1,5 +1,8 @@
 """Tests for the operator realization, symbols, and the transform."""
 
+import random
+from fractions import Fraction
+
 import pytest
 
 from qdisc import (
@@ -23,9 +26,10 @@ from qdisc import (
     zhat,
     zhat_star,
 )
+from qdisc.fockrep import _column_inverse, _column_value
 from qdisc.star import StarSeries
 
-from conftest import berezin_horner
+from conftest import berezin_horner, naive_i_op_poly, naive_q_map
 
 M, T = 16, 3
 Q2 = QScalar.q_power(2)
@@ -157,6 +161,57 @@ def test_q_map_homomorphism_sample_pairs():
         lhs = q_map(star(f1, f2, T), M)
         rhs = i_op_poly(f1, M, T) * i_op_poly(f2, M, T)
         assert lhs.equal_on_valid(rhs), (a, b, c, d)
+
+
+def _same_op(got, want):
+    assert got.entries == want.entries
+    assert got.raise_bound == want.raise_bound
+
+
+SMALL_MONOMIALS = [(j, k) for j in range(3) for k in range(3)]
+
+
+# the naive route scales whole entries, so T = 5 runs on a smaller basis
+@pytest.mark.parametrize("order, cutoff", [(3, M), (5, 10)])
+def test_q_map_matches_naive_route_on_monomial_pairs(order, cutoff):
+    for a, b in SMALL_MONOMIALS:
+        f1 = NCPoly.monomial(a, b)
+        _same_op(i_op_poly(f1, cutoff, order), naive_i_op_poly(f1, cutoff, order))
+        for c, d in SMALL_MONOMIALS:
+            psi = star(f1, NCPoly.monomial(c, d), order)
+            _same_op(q_map(psi, cutoff), naive_q_map(psi, cutoff))
+
+
+def test_q_map_matches_naive_route_on_random_star_outputs(rand_ncpoly):
+    # non-integral coefficients make every scalar op a gcd over Q: a small basis
+    cutoff = 8
+    rng = random.Random(5)
+    for _ in range(20):
+        f1, f2 = rand_ncpoly(rng, max_exp=2), NCPoly.zero()
+        while f2.is_zero():
+            f2 = rand_ncpoly(rng, max_exp=2)
+        # a non-integral coefficient on a monomial of its own
+        f1 = f1 + NCPoly.monomial(3, rng.randint(0, 2), QScalar.from_fraction(Fraction(rng.randint(1, 4), 7)))
+        psi = star(f1, f2, T)
+        assert sum(len(c.terms) for c in psi.coeffs) > 1
+        _same_op(q_map(psi, cutoff), naive_q_map(psi, cutoff))
+        _same_op(i_op_poly(f1, cutoff, T), naive_i_op_poly(f1, cutoff, T))
+
+
+def test_q_map_drops_entries_whose_terms_cancel():
+    # at t^T only constant terms survive: z zs - (1 - q^4) vanishes on z^2
+    top = NCPoly.monomial(1, 1) - NCPoly.scalar(ONE - QScalar.q_power(4))
+    psi = StarSeries((Z, NCPoly.monomial(0, 2)) + (NCPoly.zero(),) * (T - 2) + (top,), T)
+    got = q_map(psi, M)
+    assert (2, 2) not in got.entries and (3, 3) in got.entries
+    _same_op(got, naive_q_map(psi, M))
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_column_inverse_is_series_inverse(order):
+    for m in range(17):
+        for k in range(m + 1):
+            assert _column_inverse(k, m, order) == _column_value(k, m, order).inverse(), (k, m)
 
 
 # -- covariant symbols ------------------------------------------------------------------
