@@ -26,7 +26,6 @@ from .qpoly import (
 from .qcalc import box, box_tilde, d_partial, m0
 from .star import PkPolynomial, StarSeries, ck, m_series, pk, series_involution, star
 from .fockrep import (
-    CovariantSymbolError,
     FockOp,
     InsufficientCutoffError,
     ValidityError,
@@ -103,7 +102,6 @@ __all__ = [
     "berezin_expansion",
     "ValidityError",
     "InsufficientCutoffError",
-    "CovariantSymbolError",
     "E",
     "F",
     "K",

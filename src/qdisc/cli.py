@@ -16,13 +16,7 @@ from fractions import Fraction
 
 from . import VERIFY_SUITES
 from .expr import EvalError, ParseError, parse_ncpoly, parse_scalar
-from .fockrep import (
-    InsufficientCutoffError,
-    berezin,
-    berezin_expansion,
-    zhat,
-    zhat_star,
-)
+from .fockrep import InsufficientCutoffError, berezin, berezin_expansion
 from .qcalc import box, d_partial
 from .qpoly import NCPoly, WindowedSeries
 from .scalar import QScalar, eval_numeric
@@ -199,11 +193,11 @@ def _cmd_dpartial(args) -> int:
 def _cmd_berezin(args) -> int:
     w = berezin(args.j, args.k, args.window, args.cutoff, args.order)
     payload = {"schema": 1, **windowed_json(w)}
-    op = zhat_star(args.cutoff, args.order) ** args.j * zhat(args.cutoff, args.order) ** args.k
-    needed = args.window - max(args.k - args.j, 0)
-    if needed >= op.valid_columns():
+    # the raise bound of zhat^k leaves columns 0..cutoff - k valid
+    last_valid = args.cutoff - args.k
+    if args.window - max(args.k - args.j, 0) >= last_valid:
         payload["warning"] = (
-            f"window {args.window} used the last valid column {op.valid_columns()}; "
+            f"window {args.window} used the last valid column {last_valid}; "
             f"raise --cutoff for headroom"
         )
     _emit(payload)
@@ -322,6 +316,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 # numeric arguments that must be >= 0, with the name the user typed
 _NONNEGATIVE = {
+    "j": "j",
     "k": "k",
     "order": "--order",
     "window": "--window",

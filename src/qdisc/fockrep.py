@@ -15,9 +15,11 @@ column value, the ones its shift by t^n keeps.
 
 ``covariant_symbol`` inverts the picture (unique coefficients within a
 declared window), dividing by the closed-form column inverse
-(t q^2m; q^-2)_k / (q^2m; q^-2)_k rather than inverting a series, and
-``berezin`` / ``berezin_expansion`` give the two independent routes to the
-symbol of zhat_star^j zhat^k.
+(t q^2m; q^-2)_k / (q^2m; q^-2)_k rather than inverting a series.  The
+solve matches the operator on the window's columns by construction; the
+``transform-map-back`` verify law checks the columns beyond.  ``berezin``
+and ``berezin_expansion`` give the two independent routes to the symbol of
+zhat_star^j zhat^k.
 """
 
 from __future__ import annotations
@@ -139,14 +141,6 @@ class FockOp:
                 else:
                     out[key] = v
         return FockOp(self.M, self.order, out, self.raise_bound + other.raise_bound)
-
-    def __pow__(self, n: int) -> "FockOp":
-        if n < 0:
-            raise ValueError("no inverse powers of FockOp")
-        out = FockOp.identity(self.M, self.order)
-        for _ in range(n):
-            out = out * self
-        return out
 
     def equal_on_valid(self, other: "FockOp") -> bool:
         """Entrywise equality over the columns both sides are exact on."""
@@ -286,10 +280,6 @@ def q_map(psi: StarSeries, M: int) -> FockOp:
     return _from_accumulator(acc, M, order, bound)
 
 
-class CovariantSymbolError(ValueError):
-    """The operator is not a windowed image of the monomial action."""
-
-
 def covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
     """Recover the unique symbol coefficients of A within the window.
 
@@ -320,13 +310,6 @@ def covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
                 if not a.is_zero():
                     residual = residual - a * _column_value(k, m, order)
             solved.append(residual * _column_inverse(m, m, order))
-        # re-check the solved columns; a mismatch means A is not graded-consistent
-        for m in range(k_min, k_max + 1):
-            acc = TSeries.zero(order)
-            for k, a in enumerate(solved, start=k_min):
-                acc = acc + a * _column_value(k, m, order)
-            if acc != A.entry(m + d, m):
-                raise CovariantSymbolError(f"inconsistent column {m} at shift {d}")
         for k, a in enumerate(solved, start=k_min):
             if not a.is_zero():
                 out[(k + d, k)] = a
@@ -338,9 +321,10 @@ def berezin(j: int, k: int, window: int, M: int, order: int) -> WindowedSeries:
 
     This is the transform sending the polynomial zs^j z^k, read as a
     contravariant symbol, to the covariant symbol of its operator.
+    zhat_star^j is the monomial operator i_op(0, j) and zhat^k is
+    i_op(k, 0), so the operator is one product of two memoized images.
     """
-    op = zhat_star(M, order) ** j * zhat(M, order) ** k
-    return covariant_symbol(op, window)
+    return covariant_symbol(i_op(0, j, M, order) * i_op(k, 0, M, order), window)
 
 
 def berezin_expansion(j: int, k: int, terms: int) -> list:

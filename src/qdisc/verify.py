@@ -407,12 +407,8 @@ def oracle_suite(
             if not lhs.equal_on_valid(rhs):
                 fails.append((a, b, c, d))
             if eval_s0 is not None:
-                diff = lhs - rhs
+                # spot-check both sides agree numerically entry by entry
                 last = min(lhs.valid_columns(), rhs.valid_columns())
-                for (row, col), ts in diff.entries.items():
-                    if col <= last:
-                        residual_entries.extend(ts.coeffs)
-                # also spot-check both sides agree numerically entry by entry
                 keys = set(lhs.entries) | set(rhs.entries)
                 zero = TSeries.zero(T)
                 for row, col in keys:
@@ -450,6 +446,16 @@ def oracle_suite(
 # ---------------------------------------------------------------------------
 
 
+def _maps_back(j: int, k: int, window: int, M: int, T: int) -> bool:
+    """Whether q_map of the windowed berezin(j, k) symbol is zhat_star^j zhat^k.
+
+    Columns past the window's last one match only if it holds the whole symbol.
+    """
+    win = berezin(j, k, window, M, T)
+    psi = StarSeries(tuple(win.t_coefficient(n) for n in range(T + 1)), T)
+    return q_map(psi, M).equal_on_valid(i_op(0, j, M, T) * i_op(k, 0, M, T))
+
+
 def berezin_suite(t_order: int = 3, cutoff: int = 16, window: int = 6) -> list:
     checks = []
     M, T, J = cutoff, t_order, window
@@ -483,14 +489,17 @@ def berezin_suite(t_order: int = 3, cutoff: int = 16, window: int = 6) -> list:
         )
     )
 
+    pairs = [(1, 1), (1, 2), (2, 1), (2, 2)]
     fails = []
     cases = 0
-    for j, k in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+    for j, k in pairs:
         terms = berezin_expansion(j, k, T)
         win = berezin(j, k, J, M, T)
         for n in range(T + 1):
             cases += 1
-            if win.t_coefficient(n) != terms[n]:
+            # the t^n term has degree max(j, k) + n; compare its window part
+            in_window = NCPoly({(a, b): c for (a, b), c in terms[n].terms.items() if a <= J and b <= J})
+            if win.t_coefficient(n) != in_window:
                 fails.append((j, k, n))
     checks.append(
         _check(
@@ -498,6 +507,17 @@ def berezin_suite(t_order: int = 3, cutoff: int = 16, window: int = 6) -> list:
             "t-expansion of berezin(j,k) matches f0 + sum (p_n(box) - p_(n-1)(box)) f0 t^n",
             fails,
             cases,
+        )
+    )
+
+    # every t^n coefficient up to T lies inside the window max(j, k) + T
+    fails = [(j, k) for j, k in pairs if not _maps_back(j, k, max(j, k) + T, M, T)]
+    checks.append(
+        _check(
+            "transform-map-back",
+            "q_map(berezin(j,k)) = zhat_star^j zhat^k on valid columns, window max(j,k) + T",
+            fails,
+            4,
         )
     )
 

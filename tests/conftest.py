@@ -19,6 +19,8 @@ from qdisc import (
     i_op,
     m0,
     nc_mul,
+    zhat,
+    zhat_star,
 )
 from qdisc.scalar import ONE, ZERO, qpochhammer
 
@@ -160,6 +162,16 @@ def naive_i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
         if not c.is_one():
             op = FockOp(M, order, {key: v * c for key, v in op.entries.items()}, op.raise_bound)
         out = out + op
+    return out
+
+
+def naive_berezin_op(j: int, k: int, M: int, order: int) -> FockOp:
+    """zhat_star^j zhat^k by repeated ``FockOp.__mul__`` from the identity."""
+    out = FockOp.identity(M, order)
+    for _ in range(j):
+        out = out * zhat_star(M, order)
+    for _ in range(k):
+        out = out * zhat(M, order)
     return out
 
 

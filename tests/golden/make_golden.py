@@ -56,6 +56,10 @@ CASES = [
     # the oracle paths at the sizes the oracle benchmark session uses
     ("verify-oracle-T4", ["verify", "oracle", "--t-order", "4"], None),
     ("berezin-oracle-size", ["berezin", "2", "2", "--window", "6", "--cutoff", "16", "--order", "3"], None),
+    # a window that reaches the last valid column warns; with the cutoff
+    # one lower that column is invalid, and the error is structured
+    ("berezin-cutoff-warn", ["berezin", "1", "2", "--window", "6", "--cutoff", "7", "--order", "3"], None),
+    ("berezin-cutoff-error", ["berezin", "1", "2", "--window", "6", "--cutoff", "6", "--order", "3"], None),
     ("eval-expr", ["eval", "zs/(2-3*q) + z^2*(1+s)", "--s0", "3/7"], None),
     (
         "eval-stdin",

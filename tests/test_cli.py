@@ -7,6 +7,8 @@ import subprocess
 import sys
 from contextlib import redirect_stdout
 
+import pytest
+
 import qdisc
 from qdisc.cli import main
 
@@ -168,6 +170,17 @@ def test_verify_oracle_small():
     assert laws["numeric-spot-check"]["cases"] > 0
 
 
+# the t^n term of the transform has degree max(j, k) + n, past the default window 6
+@pytest.mark.parametrize("order", ["5", "8"])
+def test_verify_berezin_passes_at_high_order_with_default_window(order):
+    code, payload = run_cli("verify", "berezin", "--t-order", order)
+    assert code == 0
+    assert payload["passed"]
+    laws = {c["law"]: c for c in payload["suites"]["berezin"]}
+    assert laws["transform-asymptotic-expansion"]["cases"] == 4 * (int(order) + 1)
+    assert laws["transform-map-back"]["cases"] == 4
+
+
 def test_verify_rewrite_deterministic_under_seed():
     code1, p1 = run_cli("verify", "rewrite", "--seed", "3", "--assoc-samples", "50")
     code2, p2 = run_cli("verify", "rewrite", "--seed", "3", "--assoc-samples", "50")
@@ -236,6 +249,14 @@ def test_negative_t_order_rejected():
 
 def test_negative_pk_index_rejected():
     _assert_rejected(*run_cli("pk", "-1"), "k")
+
+
+def test_negative_berezin_j_rejected():
+    _assert_rejected(*run_cli("berezin", "-1", "2"), "j must be >= 0, got -1")
+
+
+def test_negative_berezin_expand_j_rejected():
+    _assert_rejected(*run_cli("berezin-expand", "-1", "2"), "j must be >= 0, got -1")
 
 
 def test_negative_ck_index_rejected():

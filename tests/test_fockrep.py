@@ -29,7 +29,9 @@ from qdisc import (
 from qdisc.fockrep import _column_inverse, _column_value
 from qdisc.star import StarSeries
 
-from conftest import berezin_horner, naive_i_op_poly, naive_q_map
+from qdisc.verify import _maps_back
+
+from conftest import berezin_horner, naive_berezin_op, naive_i_op_poly, naive_q_map
 
 M, T = 16, 3
 Q2 = QScalar.q_power(2)
@@ -293,6 +295,23 @@ def test_expansion_matches_horner_route():
     for j in range(3):
         for k in range(3):
             assert berezin_expansion(j, k, 5) == berezin_horner(j, k, 5), (j, k)
+
+
+@pytest.mark.parametrize("cutoff, order", [(16, 3), (9, 5)])
+def test_transform_operator_is_product_of_monomial_images(cutoff, order):
+    # berezin solves i_op(0, j) i_op(k, 0); the oracle multiplies shifts one by one
+    for j in range(4):
+        for k in range(4):
+            want = naive_berezin_op(j, k, cutoff, order)
+            _same_op(i_op(0, j, cutoff, order) * i_op(k, 0, cutoff, order), want)
+            assert berezin(j, k, 6, cutoff, order) == covariant_symbol(want, 6), (j, k)
+
+
+@pytest.mark.parametrize("order", [3, 5])
+def test_map_back_needs_the_whole_symbol_in_the_window(order):
+    for j, k in [(1, 1), (1, 2), (2, 1), (2, 2)]:
+        assert _maps_back(j, k, max(j, k) + order, M, order), (j, k)
+        assert not _maps_back(j, k, max(j, k) + order - 1, M, order), (j, k)
 
 
 def test_transform_matches_expansion():
