@@ -2,9 +2,10 @@
 
 Every command prints a single JSON document with a top-level
 ``"schema": 1`` field.  Exit codes: 0 on success, 1 when a verification
-check fails, 2 on usage or expression errors.  The ``--latex`` flag adds a
-presentation-only rendering next to the canonical text; the canonical
-strings are what downstream tooling should compare.
+check fails, 2 on usage or expression errors; only ``--help`` prints plain
+text instead, and exits 0.  The ``--latex`` flag adds a presentation-only
+rendering next to the canonical text; the canonical strings are what
+downstream tooling should compare.
 """
 
 from __future__ import annotations
@@ -244,8 +245,23 @@ def _cmd_eval(args) -> int:
 # -- argument parsing -----------------------------------------------------------
 
 
+class _UsageError(Exception):
+    """The command line does not match the grammar of ``build_parser``."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """An argument parser that raises its errors instead of exiting.
+
+    Subparsers are built with the same class, so every usage error reaches
+    ``main`` and becomes a JSON error object; ``--help`` still exits 0.
+    """
+
+    def error(self, message):
+        raise _UsageError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
+    ap = _Parser(
         prog="qdisc",
         description="Exact computations in the quantum disc algebra and its deformation.",
     )
@@ -337,9 +353,12 @@ def main(argv=None) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)
-    except SystemExit as exc:
-        # argparse already printed the usage message
-        return 2 if exc.code not in (0, None) else 0
+    except _UsageError as exc:
+        _emit({"schema": 1, "error": {"type": "usage", "message": str(exc)}})
+        return 2
+    except SystemExit:
+        # only --help exits here, after printing its text
+        return 0
     try:
         _check_nonnegative(args)
         return args.func(args)

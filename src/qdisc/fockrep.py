@@ -19,17 +19,17 @@ declared window), dividing by the closed-form column inverse
 solve matches the operator on the window's columns by construction; the
 ``transform-map-back`` verify law checks the columns beyond.  ``berezin``
 and ``berezin_expansion`` give the two independent routes to the symbol of
-zhat_star^j zhat^k.
+zhat_star^j zhat^k: the operator solve here, and the differential route,
+which is the deformed product zs^j * z^k that ``star`` computes.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from .qcalc import box
-from .qpoly import NCPoly, WindowedSeries, nc_mul
+from .qpoly import NCPoly, WindowedSeries
 from .scalar import ONE, ZERO, QScalar, TSeries, qpochhammer
-from .star import StarSeries, pk_images
+from .star import StarSeries, star
 
 
 class ValidityError(ValueError):
@@ -200,20 +200,6 @@ def _column_inverse(k: int, m: int, order: int) -> TSeries:
     return TSeries([c * inv for c in poly], order)
 
 
-@lru_cache(maxsize=None)
-def i_op(j: int, k: int, M: int, order: int) -> FockOp:
-    """The operator image of the monomial z^j zs^k on the cutoff basis."""
-    if j < 0 or k < 0:
-        raise ValueError("monomial exponents must be >= 0")
-    entries = {}
-    for m in range(k, M + 1):
-        row = m - k + j
-        if row > M:
-            continue
-        entries[(row, m)] = _column_value(k, m, order)
-    return FockOp(M, order, entries, max(j - k, 0))
-
-
 def _accumulate(acc: dict, f: NCPoly, n: int, M: int, order: int) -> int:
     """Add t^n times the action of f into acc; return the largest raise j - k.
 
@@ -246,6 +232,12 @@ def i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
     """Linear extension of the monomial action to any polynomial."""
     acc: dict = {}
     return _from_accumulator(acc, M, order, _accumulate(acc, f, 0, M, order))
+
+
+@lru_cache(maxsize=None)
+def i_op(j: int, k: int, M: int, order: int) -> FockOp:
+    """The operator image of the monomial z^j zs^k on the cutoff basis."""
+    return i_op_poly(NCPoly.monomial(j, k), M, order)
 
 
 def zhat(M: int, order: int) -> FockOp:
@@ -331,9 +323,9 @@ def berezin_expansion(j: int, k: int, terms: int) -> list:
     """Differential-operator route to the same symbol, term by term in t.
 
     Term 0 is the normal-ordered form of zs^j z^k; term n >= 1 applies
-    p_n(box) - p_{n-1}(box) to it.  All terms are exact polynomials.
+    p_n(box) - p_{n-1}(box) to it.  That is the deformed product
+    zs^j * z^k, so the terms are the coefficients of ``star``.
     """
     if terms < 0:
         raise ValueError("need terms >= 0")
-    u = pk_images(box, nc_mul(NCPoly.monomial(0, j), NCPoly.monomial(k, 0)), terms)
-    return [u[0]] + [u[n] - u[n - 1] for n in range(1, terms + 1)]
+    return list(star(NCPoly.monomial(0, j), NCPoly.monomial(k, 0), terms).coeffs)

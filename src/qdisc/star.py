@@ -9,7 +9,11 @@ polynomials p_k and multiplying the legs back together:
 
 All p_k(op) come from one three-term recurrence (``pk_images``), and
 C_k(z^a zs^b, z^c zs^d) = z^a C_k(zs^b, z^c) zs^d, so one memoized chain per
-(zs^b, z^c) sector gives C_1..C_T and star costs a polynomial in T.
+(zs^b, z^c) sector gives C_1..C_T and star costs a polynomial in T.  That
+chain stays on pure-power tensors zs^b' (x) z^c', where m0 box_tilde =
+box m0, so it runs box on zs^b z^c.  The identity is the ``box-factorization``
+law; tests/test_qcalc.py::test_factorization_identity checks it to exponent 12,
+and tests/test_star.py::test_sector_chain_matches_box_tilde_route the chains.
 
 Truncations at a run-wide t-order are the only objects ever materialized;
 the Cauchy product of truncations (``m_series``) and the termwise
@@ -20,8 +24,8 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qcalc import box_tilde, m0
-from .qpoly import NCPoly, TensorPoly, nc_mul, nc_mul_left_z_power, nc_mul_right_zstar_power
+from .qcalc import box
+from .qpoly import NCPoly, nc_mul, nc_mul_left_z_power, nc_mul_right_zstar_power
 from .scalar import ONE, QScalar, ZERO
 
 _Q = QScalar.q_power(2)
@@ -119,10 +123,11 @@ def pk(k: int) -> PkPolynomial:
 def _ck_mono(b: int, c: int, order: int) -> tuple:
     """(C_1, ..., C_order)(zs^b, z^c) for b, c >= 1.
 
-    C_k = m0(u_k) - m0(u_(k-1)) with u_k = p_k(box_tilde)(zs^b (x) z^c).
+    C_k = u_k - u_(k-1) with u_k = p_k(box)(zs^b z^c) = m0 p_k(box_tilde)(zs^b (x) z^c),
+    as m0 box_tilde = box m0 on pure-power tensors (``box-factorization``).
     """
-    m = [m0(u) for u in pk_images(box_tilde, TensorPoly({(0, b, c, 0): ONE}), order)]
-    return tuple(m[k] - m[k - 1] for k in range(1, order + 1))
+    u = pk_images(box, nc_mul(NCPoly.monomial(0, b), NCPoly.monomial(c, 0)), order)
+    return tuple(u[k] - u[k - 1] for k in range(1, order + 1))
 
 
 def ck(k: int, f1: NCPoly, f2: NCPoly) -> NCPoly:

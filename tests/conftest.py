@@ -16,13 +16,14 @@ from qdisc import (
     box,
     box_tilde,
     d_partial,
-    i_op,
     m0,
     nc_mul,
     zhat,
     zhat_star,
 )
+from qdisc.fockrep import _column_value
 from qdisc.scalar import ONE, ZERO, qpochhammer
+from qdisc.star import pk_images
 
 Q2 = QScalar.q_power(2)
 ONE_MINUS_Q2 = QScalar.from_int(1) - Q2
@@ -154,11 +155,30 @@ def berezin_horner(j: int, k: int, terms: int) -> list:
     return [f0] + [horner_pk_diff(n, box, f0) for n in range(1, terms + 1)]
 
 
+def box_tilde_sector_chain(b: int, c: int, order: int) -> tuple:
+    """(C_1, ..., C_order)(zs^b, z^c) as m0 of the box_tilde chain on zs^b (x) z^c.
+
+    The definition of C_k on the tensor, with m0 applied to every image:
+    the reference route for ``star._ck_mono``, which runs box on zs^b z^c.
+    """
+    m = [m0(u) for u in pk_images(box_tilde, TensorPoly({(0, b, c, 0): ONE}), order)]
+    return tuple(m[k] - m[k - 1] for k in range(1, order + 1))
+
+
+def naive_i_op(j: int, k: int, M: int, order: int) -> FockOp:
+    """The image of z^j zs^k built column by column from ``_column_value``."""
+    entries = {}
+    for m in range(k, M + 1):
+        if m - k + j <= M:
+            entries[(m - k + j, m)] = _column_value(k, m, order)
+    return FockOp(M, order, entries, max(j - k, 0))
+
+
 def naive_i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
-    """Sum of c * i_op(j, k) over the terms of f, through ``FockOp.__add__``."""
+    """Sum of c * naive_i_op(j, k) over the terms of f, through ``FockOp.__add__``."""
     out = FockOp.zero(M, order)
     for (j, k), c in f.terms.items():
-        op = i_op(j, k, M, order)
+        op = naive_i_op(j, k, M, order)
         if not c.is_one():
             op = FockOp(M, order, {key: v * c for key, v in op.entries.items()}, op.raise_bound)
         out = out + op

@@ -53,6 +53,9 @@ CASES = [
     ("pk-12", ["pk", "12"], None),
     ("ck-6-den", ["ck", "6", "zs^3/(1-q)", "z^2"], None),
     ("berezin-expand-T6", ["berezin-expand", "2", "2", "--terms", "6"], None),
+    # a long sector chain, and an expansion with j != k past the default window
+    ("star-T12-high", ["star", "z^2*zs^2", "z^2*zs^2", "--order", "12"], None),
+    ("berezin-expand-3-1-T8", ["berezin-expand", "3", "1", "--terms", "8"], None),
     # the oracle paths at the sizes the oracle benchmark session uses
     ("verify-oracle-T4", ["verify", "oracle", "--t-order", "4"], None),
     ("berezin-oracle-size", ["berezin", "2", "2", "--window", "6", "--cutoff", "16", "--order", "3"], None),

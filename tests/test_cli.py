@@ -140,6 +140,27 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv, needle",
+    [
+        (["star", "z", "zs", "--order", "abc"], "invalid int value: 'abc'"),
+        (["eval", "q"], "--s0"),
+        (["no-such-command"], "invalid choice: 'no-such-command'"),
+    ],
+)
+def test_usage_error_is_json(argv, needle):
+    code, payload = run_cli(*argv)
+    assert code == 2
+    assert payload["schema"] == 1
+    assert payload["error"]["type"] == "usage"
+    assert needle in payload["error"]["message"]
+
+
+def test_help_exits_zero(capsys):
+    assert main(["star", "--help"]) == 0
+    assert "usage: qdisc star" in capsys.readouterr().out
+
+
 def test_verify_single_suite_passes():
     code, payload = run_cli(
         "verify", "star", "--max-degree", "1", "--t-order", "2"

@@ -31,7 +31,7 @@ from qdisc.star import StarSeries
 
 from qdisc.verify import _maps_back
 
-from conftest import berezin_horner, naive_berezin_op, naive_i_op_poly, naive_q_map
+from conftest import berezin_horner, naive_berezin_op, naive_i_op, naive_i_op_poly, naive_q_map
 
 M, T = 16, 3
 Q2 = QScalar.q_power(2)
@@ -55,6 +55,16 @@ def test_i_op_pure_shift():
     for m in range(M):
         assert B.entry(m + 1, m) == TSeries.one(T)
     assert B.raise_bound == 1
+
+
+@pytest.mark.parametrize("order", [0, 3, 5])
+@pytest.mark.parametrize("cutoff", [0, 3, 9, 16])
+def test_i_op_matches_column_loop(cutoff, order):
+    for j in range(5):
+        for k in range(5):
+            got, want = i_op(j, k, cutoff, order), naive_i_op(j, k, cutoff, order)
+            assert got.entries == want.entries, (j, k)
+            assert got.raise_bound == want.raise_bound, (j, k)
 
 
 def test_i_op_general_column():

@@ -184,9 +184,10 @@ def test_box_tilde_linear(rng, rand_ncpoly):
 
 
 def test_factorization_identity():
-    # box applied to f2(zs) f1(z) equals m0 after box_tilde on f2 (x) f1
-    for a in range(4):
-        for b in range(4):
+    # box applied to f2(zs) f1(z) equals m0 after box_tilde on f2 (x) f1; the
+    # sector chains of star rely on it up to exponent b + T
+    for a in range(13):
+        for b in range(13):
             f1 = NCPoly.monomial(a, 0)
             f2 = NCPoly.monomial(0, b)
             assert box(nc_mul(f2, f1)) == m0(box_tilde(TensorPoly.from_polys(f2, f1)))

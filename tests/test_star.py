@@ -22,7 +22,9 @@ from qdisc import (
     star,
 )
 
-from conftest import ck_horner, pk_sum_formula
+from qdisc.star import _ck_mono
+
+from conftest import box_tilde_sector_chain, ck_horner, pk_sum_formula
 
 Q2 = QScalar.q_power(2)
 
@@ -137,6 +139,13 @@ def test_star_matches_horner_route_on_monomial_pairs():
         for f2 in monomials:
             want = (nc_mul(f1, f2),) + tuple(ck_horner(k, f1, f2) for k in range(1, T + 1))
             assert star(f1, f2, T).coeffs == want, (f1, f2)
+
+
+def test_sector_chain_matches_box_tilde_route():
+    # _ck_mono runs box on zs^b z^c; the reference takes m0 of the tensor chain
+    for b in range(4):
+        for c in range(4):
+            assert _ck_mono(b, c, 8) == box_tilde_sector_chain(b, c, 8), (b, c)
 
 
 def test_star_negative_order_rejected():
