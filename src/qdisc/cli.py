@@ -339,6 +339,8 @@ _NONNEGATIVE = {
     "cutoff": "--cutoff",
     "terms": "--terms",
     "t_order": "--t-order",
+    "max_degree": "--max-degree",
+    "assoc_samples": "--assoc-samples",
 }
 
 

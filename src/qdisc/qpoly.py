@@ -2,19 +2,23 @@
 
 Elements are finite sums  sum a_{jk} z^j zs^k  where ``zs`` denotes the
 adjoint generator and the two generators satisfy the single commutation
-relation  zs*z = q^2 z*zs + (1 - q^2).  Multiplication rewrites every
-misordered ``zs z`` pair one swap at a time; since the normal-ordered
-monomials form a basis, the normal form is unique regardless of rewrite
-strategy, and the per-block results are memoized.
+relation  zs*z = q^2 z*zs + (1 - q^2).  Multiplication needs the normal
+form of each misordered block zs^b z^c, and that has a closed form: with
+Q = q^2 the generators are a rescaled q-oscillator, and q-boson normal
+ordering (Katriel and Kibler, J. Phys. A 25 (1992) 2683) writes the block
+as a sum over r <= min(b, c) of Q^((b-r)(c-r)) [b r]_Q [c r]_Q (Q; Q)_r
+z^(c-r) zs^(b-r).  Each block asked for is memoized; no swap-by-swap
+rewriting takes place.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from itertools import accumulate
 from typing import Union
 
-from .scalar import ONE, QScalar, TSeries, ZERO, _coerce
+from .scalar import ONE, QScalar, TSeries, ZERO, _coerce, _exponents
 
 CoeffLike = Union[QScalar, int, Fraction]
 
@@ -162,58 +166,34 @@ def _term_str(j: int, k: int, c: QScalar) -> str:
 
 
 @lru_cache(maxsize=None)
-def _zstar_block_z(b: int) -> tuple:
-    """Normal form of zs^b * z: q^2b z zs^b + (1 - q^2b) zs^(b-1).
-
-    Moving the single z left one swap at a time gives this by induction on b.
-    """
-    if b == 0:
-        return (((1, 0), ONE),)
-    q2b = QScalar.q_power(2 * b)
-    return (((1, b), q2b), ((0, b - 1), ONE - q2b))
-
-
-# True while the outermost cold _normal_block call memoizes the blocks below
-# it; the calls it makes then find their inputs memoized and skip that step.
-# It orders the work and never changes a value.
-_filling_blocks = False
-
-
-@lru_cache(maxsize=None)
 def _normal_block(b: int, c: int) -> tuple:
-    """Normal form of zs^b * z^c as ((j, k), coeff) pairs.
+    """Normal form of zs^b * z^c as ((j, k), coeff) pairs, r = 0, 1, ... in turn.
 
-    zs^b z^c = sum w * z^j (zs^k z^(c-1)) over the terms of zs^b z, so the
-    block needs (b, c-1) and (b-1, c-1).  A cold call first memoizes every
-    block it depends on, lowest c first, so no call nests more than one level
-    deep however large b and c are; the memo ends up with the same keys as
-    plain recursion would leave.
+    With Q = q^2 the relation reads zs z = Q z zs + (1 - Q), and q-boson
+    normal ordering (Katriel and Kibler, J. Phys. A 25 (1992) 2683; q-binomials
+    as in Gasper and Rahman, Basic Hypergeometric Series, ch. 1) gives
+
+        zs^b z^c = sum_{r <= min(b, c)} Q^((b-r)(c-r)) [b r]_Q [c r]_Q (Q; Q)_r z^(c-r) zs^(b-r).
+
+    The factor core_r = [b r]_Q [c r]_Q (Q; Q)_r is an integer polynomial in Q,
+    built from core_0 = 1 as core_(r-1) (1 - Q^(b-r+1)) (1 - Q^(c-r+1)) / (1 - Q^r).
+    The division is exact, so it is the running sum q_e = p_e + q_(e-r) over
+    the coefficient list in Q, and its top r entries come out zero.
     """
-    global _filling_blocks
-    if b == 0:
-        return (((c, 0), ONE),)
-    if c == 0:
-        return (((0, b), ONE),)
-    if c > 1 and not _filling_blocks:
-        _filling_blocks = True
-        try:
-            for c2 in range(1, c):
-                for b2 in range(max(b - c + c2, 0), b + 1):
-                    _normal_block(b2, c2)
-        finally:
-            _filling_blocks = False
-    out: dict = {}
-    for (j, k), w in _zstar_block_z(b):
-        for (j2, k2), w2 in _normal_block(k, c - 1):
-            key = (j + j2, k2)
-            v = w * w2
-            prev = out.get(key)
-            v = v if prev is None else prev + v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return tuple(out.items())
+    core = [1]
+    out = []
+    for r in range(min(b, c) + 1):
+        if r:
+            for m in (b - r + 1, c - r + 1):
+                core = [x - y for x, y in zip(core + [0] * m, [0] * m + core)]
+            for i in range(r):
+                core[i::r] = accumulate(core[i::r])
+            del core[-r:]
+        shift = (b - r) * (c - r)
+        exps = _exponents(4 * (shift + len(core)))
+        num = {exps[4 * (shift + e)]: v for e, v in enumerate(core) if v}
+        out.append(((c - r, b - r), QScalar(num, None, _canonical=True)))
+    return tuple(out)
 
 
 def nc_mul(f: NCPoly, g: NCPoly) -> NCPoly:

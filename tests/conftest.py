@@ -64,6 +64,51 @@ def naive_monomial_product(a: int, b: int, c: int, d: int) -> NCPoly:
     return NCPoly(naive_normal_order(word, QScalar.from_int(1)))
 
 
+def _zstar_block_z(b: int) -> tuple:
+    """Normal form of zs^b * z: q^2b z zs^b + (1 - q^2b) zs^(b-1).
+
+    Moving the single z left one swap at a time gives this by induction on b.
+    """
+    if b == 0:
+        return (((1, 0), ONE),)
+    q2b = QScalar.q_power(2 * b)
+    return (((1, b), q2b), ((0, b - 1), ONE - q2b))
+
+
+@lru_cache(maxsize=None)
+def _recursive_block(b: int, c: int) -> tuple:
+    if b == 0:
+        return (((c, 0), ONE),)
+    if c == 0:
+        return (((0, b), ONE),)
+    out: dict = {}
+    for (j, k), w in _zstar_block_z(b):
+        for (j2, k2), w2 in _recursive_block(k, c - 1):
+            key = (j + j2, k2)
+            v = w * w2
+            prev = out.get(key)
+            v = v if prev is None else prev + v
+            if v.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = v
+    return tuple(out.items())
+
+
+def recursive_normal_block(b: int, c: int) -> tuple:
+    """Normal form of zs^b * z^c by recursion on c, as ((j, k), coeff) pairs.
+
+    zs^b z^c = sum w * z^j (zs^k z^(c-1)) over the terms of zs^b z, so the
+    block needs (b, c-1) and (b-1, c-1).  The blocks below are memoized
+    first, lowest c first, so no call nests more than one level deep.  Knows
+    no q-binomial: this is the oracle for ``qpoly._normal_block``.
+    """
+    for c2 in range(1, c):
+        for b2 in range(max(b - c + c2, 0), b + 1):
+            _recursive_block(b2, c2)
+    return _recursive_block(b, c)
+
+
 # cost of swapping a differential letter rightward past a generator:
 #   dz * z   -> q^2  z  * dz        dz * zs  -> q^-2 zs * dz
 #   dzs * z  -> q^2  z  * dzs       dzs * zs -> q^-2 zs * dzs

@@ -56,6 +56,9 @@ CASES = [
     # a long sector chain, and an expansion with j != k past the default window
     ("star-T12-high", ["star", "z^2*zs^2", "z^2*zs^2", "--order", "12"], None),
     ("berezin-expand-3-1-T8", ["berezin-expand", "3", "1", "--terms", "8"], None),
+    # products of large blocks zs^b z^c, normal-ordered at the parse
+    ("box-block-7-9", ["box", "zs^7*z^9"], None),
+    ("star-blocks-T3", ["star", "zs^5*z^4", "zs^3*z^6", "--order", "3"], None),
     # the oracle paths at the sizes the oracle benchmark session uses
     ("verify-oracle-T4", ["verify", "oracle", "--t-order", "4"], None),
     ("berezin-oracle-size", ["berezin", "2", "2", "--window", "6", "--cutoff", "16", "--order", "3"], None),

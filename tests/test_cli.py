@@ -268,6 +268,14 @@ def test_negative_t_order_rejected():
     _assert_rejected(*run_cli("verify", "star", "--t-order", "-1"), "--t-order")
 
 
+def test_negative_max_degree_rejected():
+    _assert_rejected(*run_cli("verify", "star", "--max-degree", "-1"), "--max-degree")
+
+
+def test_negative_assoc_samples_rejected():
+    _assert_rejected(*run_cli("verify", "rewrite", "--assoc-samples", "-5"), "--assoc-samples")
+
+
 def test_negative_pk_index_rejected():
     _assert_rejected(*run_cli("pk", "-1"), "k")
 

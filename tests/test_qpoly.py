@@ -21,7 +21,7 @@ from qdisc import (
 
 from qdisc import qpoly
 
-from conftest import naive_monomial_product
+from conftest import naive_monomial_product, recursive_normal_block
 
 Q2 = QScalar.q_power(2)
 
@@ -50,33 +50,34 @@ def test_all_small_products_match_naive_rewriter():
                     assert got == naive_monomial_product(a, b, c, d), (a, b, c, d)
 
 
-def _block_closure(b, c):
-    """Keys plain recursion on zs^b z^c = sum w z^j (zs^k z^(c-1)) memoizes."""
-    seen = set()
-    todo = [(b, c)]
-    while todo:
-        key = todo.pop()
-        if key in seen:
-            continue
-        seen.add(key)
-        if key[0] and key[1]:
-            todo += [(key[0], key[1] - 1), (key[0] - 1, key[1] - 1)]
-    return seen
-
-
-def test_cold_blocks_match_naive_rewriter_and_recursion_keys():
+def test_cold_blocks_match_naive_rewriter_and_memoize_one_entry():
     qpoly._normal_block.cache_clear()
-    qpoly._zstar_block_z.cache_clear()
-    # the largest block first, so the cold fill computes everything below it
-    got = NCPoly(dict(qpoly._normal_block(4, 4)))
-    assert qpoly._normal_block.cache_info().currsize == len(_block_closure(4, 4))
-    assert got == naive_monomial_product(0, 4, 4, 0)
     for b in range(5):
         for c in range(5):
             assert NCPoly(dict(qpoly._normal_block(b, c))) == naive_monomial_product(0, b, c, 0)
+    # a block is computed by itself, not from the blocks below it
     qpoly._normal_block.cache_clear()
-    qpoly._normal_block(3, 9)
-    assert qpoly._normal_block.cache_info().currsize == len(_block_closure(3, 9))
+    qpoly._normal_block(40, 40)
+    assert qpoly._normal_block.cache_info().currsize == 1
+
+
+def _assert_block_matches_recursion(b, c):
+    got = qpoly._normal_block(b, c)
+    assert got == recursive_normal_block(b, c), (b, c)
+    for _, w in got:
+        assert w.den == {0: 1}
+        assert all(type(v) is int for v in w.num.values())
+
+
+def test_closed_form_blocks_match_recursion():
+    for b in range(26):
+        for c in range(26):
+            _assert_block_matches_recursion(b, c)
+
+
+@pytest.mark.parametrize("b, c", [(3, 1500), (1500, 3), (40, 40), (1, 1200)])
+def test_large_closed_form_blocks_match_recursion(b, c):
+    _assert_block_matches_recursion(b, c)
 
 
 def test_large_exponent_normal_ordering():
