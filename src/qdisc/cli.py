@@ -74,11 +74,12 @@ def latex_scalar(x: QScalar) -> str:
             parts.append(("-" if neg else ("" if not parts else "+")) + body)
         return " ".join(parts)
 
-    num = poly(x.num)
-    if x.den == {0: 1}:
+    num, den = x.monic()
+    text = poly(num)
+    if den == {0: 1}:
         # a bare sum is bracketed, so a monomial or x^i after it multiplies all of it
-        return rf"\left({num}\right)" if len(x.num) > 1 else num
-    return rf"\frac{{{num}}}{{{poly(x.den)}}}"
+        return rf"\left({text}\right)" if len(num) > 1 else text
+    return rf"\frac{{{text}}}{{{poly(den)}}}"
 
 
 def latex_ncpoly(f: NCPoly) -> str:

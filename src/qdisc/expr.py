@@ -5,13 +5,22 @@ generator), ``q``, ``s``, and the operators ``+ - * / ^`` with parentheses.
 Products are kept in written order and normal-ordered only at evaluation;
 division is by scalars only (it exists so the canonical coefficient
 strings, which are reduced fractions in ``s``, read back in).  Exponents
-are nonnegative integer literals.
+are nonnegative integer literals.  Sums and products of any length
+evaluate without recursion; parentheses and unary minus may nest at most
+``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
 
+import operator
+
 from .qpoly import NCPoly, nc_mul
 from .scalar import QScalar
+
+# Each level of nesting costs the recursive-descent parser up to five
+# frames; this bound keeps a parse inside the interpreter's default
+# recursion limit of 1000.
+MAX_NESTING = 150
 
 
 class ParseError(ValueError):
@@ -69,6 +78,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self):
         return self.tokens[self.pos]
@@ -77,6 +87,11 @@ class _Parser:
         tok = self.tokens[self.pos]
         self.pos += 1
         return tok
+
+    def nest(self, tok) -> None:
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise ParseError(f"expression nested deeper than {MAX_NESTING} levels", tok[2])
 
     def expect(self, kind: str):
         tok = self.take()
@@ -102,8 +117,10 @@ class _Parser:
 
     def parse_factor(self):
         if self.peek()[0] == "-":
-            self.take()
-            return ("neg", self.parse_factor())
+            self.nest(self.take())
+            node = ("neg", self.parse_factor())
+            self.depth -= 1
+            return node
         return self.parse_power()
 
     def parse_power(self):
@@ -124,8 +141,10 @@ class _Parser:
         if tok[0] == "sym":
             return ("sym", tok[1])
         if tok[0] == "(":
+            self.nest(tok)
             node = self.parse_expr()
             self.expect(")")
+            self.depth -= 1
             return node
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
@@ -154,6 +173,16 @@ def _as_scalar(f: NCPoly, what: str) -> QScalar:
     return f.coefficient(0, 0)
 
 
+def _divide(f: NCPoly, g: NCPoly) -> NCPoly:
+    denom = _as_scalar(g, "divisor")
+    if denom.is_zero():
+        raise EvalError("division by zero")
+    return f.scale(QScalar.from_int(1) / denom)
+
+
+_BINARY = {"add": operator.add, "sub": operator.sub, "mul": nc_mul, "div": _divide}
+
+
 def to_ncpoly(node) -> NCPoly:
     """Evaluate an AST in the quantum disc algebra, products in written order."""
     kind = node[0]
@@ -161,19 +190,19 @@ def to_ncpoly(node) -> NCPoly:
         return NCPoly.scalar(QScalar.from_int(node[1]))
     if kind == "sym":
         return _SYM_VALUES[node[1]]()
-    if kind == "add":
-        return to_ncpoly(node[1]) + to_ncpoly(node[2])
-    if kind == "sub":
-        return to_ncpoly(node[1]) - to_ncpoly(node[2])
+    if kind in _BINARY:
+        # the parser nests a chain such as z + z + ... + z to the left:
+        # walk down it and fold back up, so its length costs no recursion
+        chain = []
+        while node[0] in _BINARY:
+            chain.append(node)
+            node = node[1]
+        out = to_ncpoly(node)
+        for op, _, rhs in reversed(chain):
+            out = _BINARY[op](out, to_ncpoly(rhs))
+        return out
     if kind == "neg":
         return -to_ncpoly(node[1])
-    if kind == "mul":
-        return nc_mul(to_ncpoly(node[1]), to_ncpoly(node[2]))
-    if kind == "div":
-        denom = _as_scalar(to_ncpoly(node[2]), "divisor")
-        if denom.is_zero():
-            raise EvalError("division by zero")
-        return to_ncpoly(node[1]).scale(QScalar.from_int(1) / denom)
     if kind == "pow":
         base = to_ncpoly(node[1])
         out = NCPoly.one()

@@ -6,15 +6,14 @@ deformation parameter ``q`` is ``s**2``, so half-integer powers of ``q``
 stay polynomial.  On top of Q(s) sits :class:`TSeries`, a power series in a
 second formal parameter ``t`` truncated at a run-wide order.
 
-Polynomial coefficients are plain Python ``int``s whenever they are
-integral, which is almost always: every denominator the package builds is a
-product of (q^a; q^b) factors with unit leading coefficient.  A
-:class:`fractions.Fraction` appears only for a coefficient that really is
-non-integral, such as user input ``1/2``.  The gcd that keeps quotients
-reduced is a primitive pseudo-remainder sequence over Z[s] (W. S. Brown,
-"On Euclid's Algorithm and the Computation of Polynomial Greatest Common
-Divisors", J. ACM 18, 1971) when both operands have integer coefficients,
-and the monic Euclid over Q otherwise.
+By Gauss's lemma every value of Q(s) is N/D with N and D in Z[s], so
+polynomial coefficients are plain Python ``int``s throughout.  The one gcd
+that keeps quotients reduced is a primitive pseudo-remainder sequence over
+Z[s] (W. S. Brown, "On Euclid's Algorithm and the Computation of
+Polynomial Greatest Common Divisors", J. ACM 18, 1971).  A
+:class:`fractions.Fraction` appears only at the edges: rational input has
+its denominators cleared, and the text divides by the leading coefficient
+of the denominator when it prints.
 
 There is no floating point anywhere: numeric instantiation substitutes an
 exact rational for ``s`` and returns a :class:`fractions.Fraction`.
@@ -23,36 +22,16 @@ exact rational for ``s`` and returns a :class:`fractions.Fraction`.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Sequence, Union
 
 
 # ---------------------------------------------------------------------------
-# sparse univariate polynomials over Q: {exponent: coefficient}, no zero
-# values; a coefficient is an int when integral, else a Fraction
+# sparse univariate polynomials over Z: {exponent: int coefficient}, no zero
+# values
 # ---------------------------------------------------------------------------
 
 _F0 = Fraction(0)
-
-
-def _div(a, b):
-    """Exact quotient a / b of two coefficients: an int whenever integral."""
-    if type(a) is int and type(b) is int:
-        q, r = divmod(a, b)
-        return Fraction(a, b) if r else q
-    q = Fraction(a) / b
-    return q.numerator if q.denominator == 1 else q
-
-
-def _is_zpoly(a: dict) -> bool:
-    return Fraction not in map(type, a.values())
-
-
-def _pint(a: dict) -> dict:
-    """``a`` with every integral Fraction coefficient turned into an int."""
-    if _is_zpoly(a):
-        return a
-    return {e: (c.numerator if type(c) is Fraction and c.denominator == 1 else c) for e, c in a.items()}
 
 
 def _padd(a: dict, b: dict) -> dict:
@@ -109,17 +88,6 @@ def _pval(a: dict) -> int:
     return min(a) if a else 0
 
 
-def _pdivc(a: dict, c) -> dict:
-    """a with every coefficient divided by the nonzero constant c."""
-    if c == 1:
-        return _pint(a)
-    return {e: _div(v, c) for e, v in a.items()}
-
-
-def _pmonic(a: dict) -> dict:
-    return _pdivc(a, a[max(a)]) if a else {}
-
-
 def _psubmul(r: dict, factor, shift: int, b: dict) -> None:
     """r -= factor * s**shift * b, in place."""
     for e, c in b.items():
@@ -131,33 +99,30 @@ def _psubmul(r: dict, factor, shift: int, b: dict) -> None:
             del r[e2]
 
 
-def _pdivmod(a: dict, b: dict) -> tuple[dict, dict]:
-    if not b:
-        raise ZeroDivisionError("polynomial division by zero")
-    db = max(b)
-    lb = b[db]
-    if len(b) == 1:
-        q = {e - db: _div(c, lb) for e, c in a.items() if e >= db}
-        return q, {e: c for e, c in a.items() if e < db}
-    q: dict = {}
-    r = dict(a)
-    for dr in range(_pdeg(r), db - 1, -1):
-        lr = r.get(dr)
-        if lr is not None:
-            factor = q[dr - db] = _div(lr, lb)
-            _psubmul(r, factor, dr - db, b)
-    return q, _pint(r)
-
-
 def _pquo(a: dict, g: dict) -> dict:
-    """The exact quotient a / g for a monic g dividing a."""
+    """The exact quotient a / g for a primitive g that divides a over Q.
+
+    By Gauss's lemma the quotient lies in Z[s], so each step divides the
+    leading coefficient by lc(g) without remainder.
+    """
     if g == _ONE_P:
         return a
-    return _pdivmod(a, g)[0]
+    dg = max(g)
+    if len(g) == 1:  # a primitive monomial is s^dg
+        return {e - dg: c for e, c in a.items()}
+    lg = g[dg]
+    q: dict = {}
+    r = dict(a)
+    for dr in range(_pdeg(r), dg - 1, -1):
+        lr = r.get(dr)
+        if lr is not None:
+            factor = q[dr - dg] = lr // lg
+            _psubmul(r, factor, dr - dg, g)
+    return q
 
 
 def _pprimitive(a: dict) -> dict:
-    """a divided by its content, with a positive leading coefficient (a in Z[s])."""
+    """a divided by its content, with a positive leading coefficient."""
     g = gcd(*a.values())
     if a[max(a)] < 0:
         g = -g
@@ -187,42 +152,48 @@ def _pprem(a: dict, b: dict) -> dict:
     return r
 
 
-def _pgcd_z(a: dict, b: dict) -> dict:
-    """Monic gcd of two nonzero polynomials in Z[s]: a primitive remainder sequence.
+def _pgcd(a: dict, b: dict) -> dict:
+    """The gcd over Q of a and b, not both zero, as a primitive polynomial
+    with positive leading coefficient: a primitive remainder sequence.
 
     The content is removed after every step, so the coefficients stay those
-    of Z[s] divisors of the inputs; the result is made monic only at the end.
+    of Z[s] divisors of the inputs.
     """
+    if not a:
+        return _pprimitive(b)
+    if not b:
+        return _pprimitive(a)
+    # monomial fast path: gcd(p, c*s^k) = s^min(val p, k)
+    if len(a) == 1 or len(b) == 1:
+        return {min(_pval(a), _pval(b)): 1}
     a, b = _pprimitive(a), _pprimitive(b)
     if max(a) < max(b):
         a, b = b, a
     while b:
         r = _pprem(a, b)
         a, b = b, (_pprimitive(r) if r else r)
-    return _pmonic(a)
-
-
-def _pgcd(a: dict, b: dict) -> dict:
-    """Monic gcd: a primitive remainder sequence for integer coefficients, else Euclid."""
-    if not a:
-        return _pmonic(b)
-    if not b:
-        return _pmonic(a)
-    # monomial fast path: gcd(p, c*s^k) = s^min(val p, k)
-    if len(a) == 1 or len(b) == 1:
-        e = min(_pval(a), _pval(b))
-        return {e: 1}
-    if _is_zpoly(a) and _is_zpoly(b):
-        return _pgcd_z(a, b)
-    return _pgcd_q(a, b)
-
-
-def _pgcd_q(a: dict, b: dict) -> dict:
-    """Monic gcd of two nonzero polynomials over Q: Euclid with monic remainders."""
-    a, b = _pmonic(a), _pmonic(b)
-    while b:
-        a, b = b, _pmonic(_pdivmod(a, b)[1])
     return a
+
+
+def _normal(num: dict, den: dict) -> tuple[dict, dict]:
+    """num/den scaled so that lc(den) > 0 and all coefficients have gcd 1."""
+    lc = den[max(den)]
+    if lc == 1:
+        return num, den
+    g = gcd(*num.values(), *den.values())
+    if lc < 0:
+        g = -g
+    if g == 1:
+        return num, den
+    return {e: c // g for e, c in num.items()}, {e: c // g for e, c in den.items()}
+
+
+def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
+    """The canonical pair of num/den, for num and den in Z[s] and den nonzero."""
+    if not num:
+        return {}, _ONE_P
+    g = _pgcd(num, den)
+    return _normal(_pquo(num, g), _pquo(den, g))
 
 
 def _peval(a: dict, x: Fraction) -> Fraction:
@@ -269,19 +240,22 @@ ScalarLike = Union["QScalar", int, Fraction]
 
 
 class QScalar:
-    """A rational function in ``s`` over Q, kept in canonical form.
+    """A rational function in ``s`` over Q, kept in one canonical form.
 
-    Canonical means: gcd(numerator, denominator) = 1, denominator monic and
-    nonzero, zero stored as 0/1.  ``num`` and ``den`` are ``{exponent:
-    coefficient}`` dicts whose integral coefficients are ``int``s; a
-    ``Fraction`` stands only for a non-integral one, and since an ``int``
-    equals and hashes like the equal ``Fraction``, equality is plain
-    syntactic comparison.  Products cancel gcd(a, d) and gcd(c, b) before
+    ``num`` and ``den`` are ``{exponent: int}`` dicts with gcd(num, den) = 1
+    over Q, a positive leading coefficient of ``den``, and integer
+    coefficients that together have gcd 1; zero is ``{}`` over ``{0: 1}``.
+    By Gauss's lemma every value has exactly one such form, so equality is
+    plain syntactic comparison, and a constant p/q, stored as ``{0: p}``
+    over ``{0: q}``, hashes like ``Fraction(p, q)``.  Every denominator the
+    package builds itself has leading coefficient 1, and then the form is
+    the monic one; only rational input such as ``1/2`` or ``1/(2 - 3*q)``
+    gives a non-unit leading coefficient, which the text divides out (see
+    :meth:`monic`).  Products cancel gcd(a, d) and gcd(c, b) before
     multiplying a/b by c/d, and sums with different denominators only test
-    the gcd of the two denominators against the new numerator; the gcds are
-    primitive remainder sequences over Z[s] for integer coefficients.
-    Values are immutable, so arithmetic may return an operand itself (x + 0
-    is x).  Conjugation is the identity (the coefficient field models real-valued
+    the gcd of the two denominators against the new numerator.  Values are
+    immutable, so arithmetic may return an operand itself (x + 0 is x).
+    Conjugation is the identity (the coefficient field models real-valued
     functions of real q), so the algebra involutions never touch scalars.
     """
 
@@ -290,41 +264,27 @@ class QScalar:
     def __init__(self, num: dict, den: dict | None = None, _canonical: bool = False):
         if den is None:
             den = _ONE_P
-        if _canonical:
-            self.num = num
-            self.den = den
-            self._hash = None
-            return
-        if not den:
-            raise ZeroDivisionError("QScalar with zero denominator")
-        if not num:
-            self.num = {}
-            self.den = _ONE_P
-            self._hash = None
-            return
-        if den == _ONE_P:
-            clean = _pint(num)
-            self.num = dict(num) if clean is num else clean
-            self.den = _ONE_P
-        else:
-            g = _pgcd(num, den)
-            if _pdeg(g) > 0:
-                num, _ = _pdivmod(num, g)
-                den, _ = _pdivmod(den, g)
-            lc = den[max(den)]
-            self.num = _pdivc(num, lc)
-            self.den = _pdivc(den, lc)
+        if not _canonical:
+            # int or Fraction coefficients: clear their denominators
+            m = lcm(*(c.denominator for c in (*num.values(), *den.values())))
+            num = {e: int(c * m) for e, c in num.items() if c}
+            den = {e: int(c * m) for e, c in den.items() if c}
+            if not den:
+                raise ZeroDivisionError("QScalar with zero denominator")
+            num, den = _reduce(num, den)
+        self.num = num
+        self.den = den
         self._hash = None
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_int(n: int) -> "QScalar":
-        return QScalar({0: n} if n else {})
+        return QScalar({0: n} if n else {}, None, _canonical=True)
 
     @staticmethod
     def from_fraction(c: Fraction) -> "QScalar":
-        return QScalar({0: Fraction(c)} if c else {})
+        return QScalar({0: c.numerator} if c else {}, {0: c.denominator}, _canonical=True)
 
     @staticmethod
     def s_power(n: int) -> "QScalar":
@@ -359,18 +319,18 @@ class QScalar:
         if self.den == other.den:
             num = _padd(self.num, other.num)
             if self.den == _ONE_P:
-                return QScalar(_pint(num), None, _canonical=True)
-            return QScalar(num, self.den)
+                return QScalar(num, None, _canonical=True)
+            return QScalar(*_reduce(num, self.den), _canonical=True)
         # a/b + c/d = (a d' + c b') / (b d') with g = gcd(b, d), b = g b', d = g d';
         # only gcd(numerator, g) can cancel
         g = _pgcd(self.den, other.den)
         b1, d1 = _pquo(self.den, g), _pquo(other.den, g)
-        num = _pint(_padd(_pmul(self.num, d1), _pmul(other.num, b1)))
+        num = _padd(_pmul(self.num, d1), _pmul(other.num, b1))
         den = _pmul(self.den, d1)
         if not num:
             return ZERO
         g2 = _pgcd(num, g)
-        return QScalar(_pquo(num, g2), _pint(_pquo(den, g2)), _canonical=True)
+        return QScalar(*_normal(_pquo(num, g2), _pquo(den, g2)), _canonical=True)
 
     __radd__ = __add__
 
@@ -394,7 +354,7 @@ class QScalar:
         if other is NotImplemented:
             return NotImplemented
         if self.den == _ONE_P and other.den == _ONE_P:
-            return QScalar(_pint(_pmul(self.num, other.num)), None, _canonical=True)
+            return QScalar(_pmul(self.num, other.num), None, _canonical=True)
         return _mul_reduced(self.num, self.den, other.num, other.den)
 
     __rmul__ = __mul__
@@ -405,8 +365,7 @@ class QScalar:
             return NotImplemented
         if not other.num:
             raise ZeroDivisionError("QScalar division by zero")
-        lc = other.num[max(other.num)]
-        return _mul_reduced(self.num, self.den, _pdivc(other.den, lc), _pdivc(other.num, lc))
+        return _mul_reduced(self.num, self.den, other.den, other.num)
 
     def __rtruediv__(self, other: ScalarLike) -> "QScalar":
         other = _coerce(other)
@@ -436,33 +395,54 @@ class QScalar:
     def __hash__(self) -> int:
         h = self._hash
         if h is None:
-            h = hash((tuple(sorted(self.num.items())), tuple(sorted(self.den.items()))))
+            num, den = self.num, self.den
+            if _pdeg(num) <= 0 and _pdeg(den) == 0:
+                # a constant hashes like the equal int or Fraction
+                h = hash(Fraction(num.get(0, 0), den[0]))
+            else:
+                h = hash((tuple(sorted(num.items())), tuple(sorted(den.items()))))
             self._hash = h
         return h
 
     # -- output -------------------------------------------------------------
 
+    def monic(self) -> tuple[dict, dict]:
+        """(num, den) divided by lc(den): the form the text shows.
+
+        The coefficients are ``int``s or ``Fraction``s; this is for
+        presentation only.
+        """
+        lc = self.den[max(self.den)]
+        if lc == 1:
+            return self.num, self.den
+        return (
+            {e: Fraction(c, lc) for e, c in self.num.items()},
+            {e: Fraction(c, lc) for e, c in self.den.items()},
+        )
+
     def __str__(self) -> str:
-        if self.den == _ONE_P:
-            return _pstr(self.num)
-        return f"({_pstr(self.num)})/({_pstr(self.den)})"
+        num, den = self.monic()
+        if den == _ONE_P:
+            return _pstr(num)
+        return f"({_pstr(num)})/({_pstr(den)})"
 
     def __repr__(self) -> str:
         return f"QScalar({self})"
 
 
 def _mul_reduced(a: dict, b: dict, c: dict, d: dict) -> "QScalar":
-    """(a/b) * (c/d) for reduced fractions a/b and c/d with monic b and d.
+    """(a/b) * (c/d) for a/b and c/d each reduced over Q.
 
-    Cancelling gcd(a, d) and gcd(c, b) first leaves a reduced product with
-    a monic denominator, so no gcd of the full product is needed.
+    Cancelling gcd(a, d) and gcd(c, b) first leaves a reduced product, so
+    no gcd of the full product is needed; b and d may have any sign or
+    integer content, which ``_normal`` fixes last.
     """
     if not a or not c:
         return ZERO
     g1, g2 = _pgcd(a, d), _pgcd(c, b)
-    num = _pint(_pmul(_pquo(a, g1), _pquo(c, g2)))
-    den = _pint(_pmul(_pquo(b, g2), _pquo(d, g1)))
-    return QScalar(num, den, _canonical=True)
+    num = _pmul(_pquo(a, g1), _pquo(c, g2))
+    den = _pmul(_pquo(b, g2), _pquo(d, g1))
+    return QScalar(*_normal(num, den), _canonical=True)
 
 
 def _coerce(x) -> "QScalar":

@@ -67,6 +67,12 @@ CASES = [
     ("berezin-cutoff-warn", ["berezin", "1", "2", "--window", "6", "--cutoff", "7", "--order", "3"], None),
     ("berezin-cutoff-error", ["berezin", "1", "2", "--window", "6", "--cutoff", "6", "--order", "3"], None),
     ("eval-expr", ["eval", "zs/(2-3*q) + z^2*(1+s)", "--s0", "3/7"], None),
+    # the rational boundary of Q(s): integer content that cancels, a
+    # denominator with a negative non-unit leading coefficient, and a
+    # rational inside a divisor
+    ("star-T3-rational-latex", ["star", "zs/(4 - 6*q)", "2/3*z + zs/(1/2 - q)", "--order", "3", "--latex"], None),
+    ("ck-1-negative-lead-latex", ["ck", "1", "3/4*zs^2", "z/(5*q^2 - 10)", "--latex"], None),
+    ("eval-rational", ["eval", "zs/(4 - 6*q) + 2/4*z", "--s0", "2/5"], None),
     (
         "eval-stdin",
         ["eval", "--s0", "5/3"],

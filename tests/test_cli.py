@@ -134,6 +134,23 @@ def test_parse_error_exit_code_and_position():
     assert isinstance(payload["error"]["position"], int)
 
 
+def test_long_sum_succeeds():
+    code, payload = run_cli("star", " + ".join(["z"] * 3000), "1", "--order", "0")
+    assert code == 0
+    assert payload["terms"] == [[[[1, 0], "3000"]]]
+    code, payload = run_cli("eval", "+".join(["zs"] * 1200), "--s0", "1/2")
+    assert code == 0
+    assert payload["terms"] == [[[0, 1], "1200"]]
+
+
+def test_deep_nesting_is_a_parse_error():
+    code, payload = run_cli("box", "(" * 2000 + "z" + ")" * 2000)
+    assert code == 2
+    assert payload["error"]["type"] == "parse"
+    assert "nested deeper" in payload["error"]["message"]
+    assert isinstance(payload["error"]["position"], int)
+
+
 def test_usage_error_exit_code(capsys):
     code = main(["no-such-command"])
     capsys.readouterr()

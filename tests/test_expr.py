@@ -15,6 +15,7 @@ from qdisc import (
     parse_ncpoly,
     parse_scalar,
 )
+from qdisc.expr import MAX_NESTING
 
 Q2 = QScalar.q_power(2)
 
@@ -105,3 +106,30 @@ def test_roundtrip_star_coefficients():
     st = star(ZS, Z, 2)
     for coeff in st.coeffs:
         assert parse_ncpoly(str(coeff)) == coeff
+
+
+# -- long and deep input ----------------------------------------------------------
+
+
+def test_long_sums_and_products_evaluate():
+    assert parse_ncpoly(" + ".join(["z"] * 3000)) == NCPoly.monomial(1, 0, QScalar.from_int(3000))
+    assert parse_ncpoly("*".join(["z"] * 1200)) == NCPoly.monomial(1200, 0)
+    assert parse_ncpoly("1" + "/2" * 1200) == NCPoly.scalar(QScalar.from_int(1) / 2**1200)
+    assert parse_ncpoly("z" + " - z" * 2000) == NCPoly.monomial(1, 0, QScalar.from_int(-1999))
+
+
+def test_nesting_up_to_the_bound_evaluates():
+    n = MAX_NESTING
+    assert parse_ncpoly("(" * n + "z + 1" + ")" * n) == Z + NCPoly.one()
+    # right-nested products recurse once per level
+    assert parse_ncpoly("z*(" * (n - 1) + "z" + ")" * (n - 1)) == NCPoly.monomial(n, 0)
+    assert parse_ncpoly("-" * n + "z") == Z
+
+
+def test_deeper_nesting_is_a_parse_error():
+    n = MAX_NESTING + 1
+    with pytest.raises(ParseError) as err:
+        parse("(" * n + "z" + ")" * n)
+    assert err.value.position == n - 1
+    with pytest.raises(ParseError):
+        parse("-" * n + "z")

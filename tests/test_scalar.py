@@ -46,11 +46,13 @@ def test_division_by_zero():
 
 def test_canonical_form_is_reduced_and_monic():
     x = (ONE - QScalar.q_power(2)) / (QScalar.from_int(2) - QScalar.from_int(2) * Q)
-    # denominator 2 - 2q normalizes monic; gcd (1 - q) cancels
+    # gcd (1 - q) cancels; the integer content stays, as the denominator 2
     y = (ONE + Q) * QScalar.from_fraction(Fraction(1, 2))
     assert x == y
-    lead = max(x.den)
-    assert x.den[lead] == 1
+    assert (x.num, x.den) == ({0: 1, 2: 1}, {0: 2})
+    # the printed form is monic
+    assert x.monic() == ({0: Fraction(1, 2), 2: Fraction(1, 2)}, {0: 1})
+    assert str(x) == "1/2 + 1/2*s^2"
 
 
 # -- q-Pochhammer -------------------------------------------------------------
