@@ -8,9 +8,9 @@ polynomials p_k and multiplying the legs back together:
     C_k(f1, f2) = m0( (p_k(box_tilde) - p_{k-1}(box_tilde)) (f1 (x) f2) ).
 
 All p_k(op) come from one three-term recurrence (``pk_images``), and
-C_k(z^a zs^b, z^c zs^d) = z^a C_k(zs^b, z^c) zs^d, so one memoized chain per
-(zs^b, z^c) sector gives C_1..C_T and star costs a polynomial in T.  That
-chain stays on pure-power tensors zs^b' (x) z^c', where m0 box_tilde =
+C_k(z^a zs^b, z^c zs^d) = z^a C_k(zs^b, z^c) zs^d, so one chain per sector
+(zs^b, z^c), memoized on (b, c, T), gives C_1..C_T and star costs a polynomial
+in T.  The chain stays on pure-power tensors zs^b' (x) z^c', where m0 box_tilde =
 box m0, so it runs box on zs^b z^c.  The identity is the ``box-factorization``
 law; tests/test_qcalc.py::test_factorization_identity checks it to exponent 12,
 and tests/test_star.py::test_sector_chain_matches_box_tilde_route the chains.
@@ -90,20 +90,19 @@ def pk_images(op, f, order: int) -> list:
 
         (1 - Q^(k+1)) p_(k+1) = ((1-Q)^2 x + 1 + Q - 2 Q^(k+1)) p_k - Q (1 - Q^k) p_(k-1).
 
-    It runs on P_k = (Q; Q)_k p_k, where the p_(k-1) factor is Q (1 - Q^k)^2
-    and no recurrence coefficient has a denominator; each image is divided
-    by (Q; Q)_k once.  ``f`` needs ``+``, ``-`` and ``.scale``.
+    It runs as written, dividing each step by the one factor 1 - Q^(k+1).
+    On a sector of ``box`` every image has a monomial denominator, so each gcd
+    runs against that one binomial; for ``pk`` the division is not exact.
+    ``f`` needs ``+``, ``-`` and ``.scale``.
     """
-    chain, norms = [f], [ONE]
+    chain = [f]
     for k in range(order):
         qk1 = QScalar.q_power(2 * k + 2)
         nxt = op(chain[k]).scale(_ONE_MINUS_Q_SQ) + chain[k].scale(ONE + _Q - qk1 - qk1)
         if k:
-            qk = ONE - QScalar.q_power(2 * k)
-            nxt = nxt - chain[k - 1].scale(_Q * qk * qk)
-        chain.append(nxt)
-        norms.append(norms[k] * (ONE - qk1))
-    return [u.scale(ONE / n) for u, n in zip(chain, norms)]
+            nxt = nxt - chain[k - 1].scale(_Q * (ONE - QScalar.q_power(2 * k)))
+        chain.append(nxt.scale(ONE / (ONE - qk1)))
+    return chain
 
 
 @lru_cache(maxsize=None)

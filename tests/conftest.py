@@ -23,7 +23,7 @@ from qdisc import (
 )
 from qdisc.fockrep import _column_value
 from qdisc.scalar import ONE, ZERO, qpochhammer
-from qdisc.star import pk_images
+from qdisc.verify import _deformation_terms
 
 Q2 = QScalar.q_power(2)
 ONE_MINUS_Q2 = QScalar.from_int(1) - Q2
@@ -195,7 +195,11 @@ def ck_horner(k: int, f1: NCPoly, f2: NCPoly) -> NCPoly:
 
 
 def berezin_horner(j: int, k: int, terms: int) -> list:
-    """The berezin expansion terms with (p_n - p_(n-1))(box) applied by Horner."""
+    """The berezin expansion terms with (p_n - p_(n-1))(box) applied by Horner.
+
+    The p_n come from ``pk_sum_formula``, so this route shares no code with
+    the recurrence in ``star.pk_images``.
+    """
     f0 = nc_mul(NCPoly.monomial(0, j), NCPoly.monomial(k, 0))
     return [f0] + [horner_pk_diff(n, box, f0) for n in range(1, terms + 1)]
 
@@ -203,11 +207,12 @@ def berezin_horner(j: int, k: int, terms: int) -> list:
 def box_tilde_sector_chain(b: int, c: int, order: int) -> tuple:
     """(C_1, ..., C_order)(zs^b, z^c) as m0 of the box_tilde chain on zs^b (x) z^c.
 
-    The definition of C_k on the tensor, with m0 applied to every image:
+    The definition of C_k on the tensor, through ``verify._deformation_terms``:
     the reference route for ``star._ck_mono``, which runs box on zs^b z^c.
+    Both routes run ``pk_images``, so this checks the sector reduction, not
+    the recurrence; ``berezin_horner`` is the check of the recurrence.
     """
-    m = [m0(u) for u in pk_images(box_tilde, TensorPoly({(0, b, c, 0): ONE}), order)]
-    return tuple(m[k] - m[k - 1] for k in range(1, order + 1))
+    return tuple(_deformation_terms(NCPoly.monomial(0, b), NCPoly.monomial(c, 0), order))
 
 
 def naive_i_op(j: int, k: int, M: int, order: int) -> FockOp:

@@ -66,6 +66,10 @@ CASES = [
     # one lower that column is invalid, and the error is structured
     ("berezin-cutoff-warn", ["berezin", "1", "2", "--window", "6", "--cutoff", "7", "--order", "3"], None),
     ("berezin-cutoff-error", ["berezin", "1", "2", "--window", "6", "--cutoff", "6", "--order", "3"], None),
+    # a longer sector chain, and p_k whose coefficients are not Laurent
+    # polynomials, so each step of the recurrence divides inexactly
+    ("star-T16-high", ["star", "z^2*zs^2", "z^2*zs^2", "--order", "16"], None),
+    ("pk-14", ["pk", "14"], None),
     ("eval-expr", ["eval", "zs/(2-3*q) + z^2*(1+s)", "--s0", "3/7"], None),
     # the rational boundary of Q(s): integer content that cancels, a
     # denominator with a negative non-unit leading coefficient, and a

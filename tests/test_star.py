@@ -24,7 +24,7 @@ from qdisc import (
 
 from qdisc.star import _ck_mono
 
-from conftest import box_tilde_sector_chain, ck_horner, pk_sum_formula
+from conftest import berezin_horner, box_tilde_sector_chain, ck_horner, pk_sum_formula
 
 Q2 = QScalar.q_power(2)
 
@@ -146,6 +146,13 @@ def test_sector_chain_matches_box_tilde_route():
     for b in range(4):
         for c in range(4):
             assert _ck_mono(b, c, 8) == box_tilde_sector_chain(b, c, 8), (b, c)
+
+
+def test_sector_chain_matches_sum_formula_route():
+    # the terminating j-sum applied by Horner, independent of pk_images
+    for b in range(1, 4):
+        for c in range(1, 4):
+            assert _ck_mono(b, c, 8) == tuple(berezin_horner(b, c, 8)[1:]), (b, c)
 
 
 def test_star_negative_order_rejected():
