@@ -9,6 +9,8 @@ and the quantized sl2 symmetry of the whole structure.  Every identity is
 checked by exact equality; see the ``verify`` suites and the CLI.
 """
 
+import importlib
+
 from .scalar import ONE, Q, QScalar, S, TSeries, ZERO, eval_numeric, qpochhammer
 from .qpoly import (
     NCPoly,
@@ -25,34 +27,55 @@ from .qpoly import (
 )
 from .qcalc import box, box_tilde, d_partial, m0
 from .star import PkPolynomial, StarSeries, ck, m_series, pk, series_involution, star
-from .fockrep import (
-    FockOp,
-    InsufficientCutoffError,
-    ValidityError,
-    berezin,
-    berezin_expansion,
-    covariant_symbol,
-    i_op,
-    i_op_poly,
-    q_map,
-    zhat,
-    zhat_star,
-)
-from .uqsl2 import (
-    E,
-    F,
-    GENERATORS,
-    K,
-    KINV,
-    act,
-    act_series,
-    act_word,
-    check_box_equivariance,
-    check_involution_compat,
-    check_module_algebra,
-    check_star_equivariance,
-)
 from .expr import EvalError, ParseError, parse, parse_ncpoly, parse_scalar, to_ncpoly
+
+# the operator oracle and the U_q(sl2) symmetry load on first use (PEP 562),
+# so that commands such as ``qdisc star`` do not import them
+_LAZY = {
+    **dict.fromkeys(
+        (
+            "FockOp",
+            "InsufficientCutoffError",
+            "ValidityError",
+            "berezin",
+            "berezin_expansion",
+            "covariant_symbol",
+            "i_op",
+            "i_op_poly",
+            "q_map",
+            "zhat",
+            "zhat_star",
+        ),
+        "fockrep",
+    ),
+    **dict.fromkeys(
+        (
+            "E",
+            "F",
+            "GENERATORS",
+            "K",
+            "KINV",
+            "act",
+            "act_series",
+            "act_word",
+            "check_box_equivariance",
+            "check_involution_compat",
+            "check_module_algebra",
+            "check_star_equivariance",
+        ),
+        "uqsl2",
+    ),
+}
+
+
+def __getattr__(name: str):
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{module}", __name__), name)
+    globals()[name] = value
+    return value
+
 
 __version__ = "0.1.0"
 

@@ -17,7 +17,6 @@ from fractions import Fraction
 
 from . import VERIFY_SUITES
 from .expr import EvalError, ParseError, parse_ncpoly, parse_scalar
-from .fockrep import InsufficientCutoffError, berezin, berezin_expansion
 from .qcalc import box, d_partial
 from .qpoly import NCPoly, WindowedSeries
 from .scalar import QScalar, eval_numeric
@@ -193,6 +192,9 @@ def _cmd_dpartial(args) -> int:
 
 
 def _cmd_berezin(args) -> int:
+    # the operator oracle is imported by the commands that use it only
+    from .fockrep import berezin
+
     w = berezin(args.j, args.k, args.window, args.cutoff, args.order)
     payload = {"schema": 1, **windowed_json(w)}
     # the raise bound of zhat^k leaves columns 0..cutoff - k valid
@@ -207,6 +209,8 @@ def _cmd_berezin(args) -> int:
 
 
 def _cmd_berezin_expand(args) -> int:
+    from .fockrep import berezin_expansion
+
     terms = berezin_expansion(args.j, args.k, args.terms)
     _emit({"schema": 1, "terms": [ncpoly_json(f) for f in terms]})
     return 0
@@ -368,7 +372,8 @@ def main(argv=None) -> int:
     except ParseError as exc:
         _emit({"schema": 1, "error": {"type": "parse", "message": str(exc), "position": exc.position}})
         return 2
-    except (EvalError, InsufficientCutoffError, ValueError, ZeroDivisionError) as exc:
+    except (EvalError, ValueError, ZeroDivisionError) as exc:
+        # fockrep.InsufficientCutoffError is a ValueError
         _emit({"schema": 1, "error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
 

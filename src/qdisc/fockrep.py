@@ -8,10 +8,15 @@ shifts with rational-in-t matrix elements,
 Taylor-expanded in t to the run order.  Composing these finite matrices is
 exact, which turns the deformed product's coefficient formulas into a
 finite equality check: mapping a truncated star series through ``q_map``
-must agree with the matrix product of the factors' images.  ``q_map`` and
-``i_op_poly`` add every term into one accumulator of coefficient lists, and
-the t^n coefficient of a series scales only the t-orders 0..order-n of each
-column value, the ones its shift by t^n keeps.
+must agree with the matrix product of the factors' images.
+
+With x = q^2m, the t^n coefficient of column m is a polynomial in x of
+degree k + n (``_column_poly``), and x^p is the shift s^(4mp).  So
+``q_map`` and ``i_op_poly`` group terms by diagonal j - k and sum the terms
+of one diagonal once per power of x and t-order, over one common
+denominator; every column is that sum read at its x, one integer dict of
+shifted numerators and one reduction, with no product.  A diagonal with a
+single term scales the memoized column value instead.
 
 ``covariant_symbol`` inverts the picture (unique coefficients within a
 declared window), dividing by the closed-form column inverse
@@ -28,7 +33,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qpoly import NCPoly, WindowedSeries
-from .scalar import ONE, ZERO, QScalar, TSeries, qpochhammer
+from .scalar import _ONE_P, ONE, ZERO, QScalar, TSeries, _exponents, _normal, _pmul, _reduce, qpochhammer
 from .star import StarSeries, star
 
 
@@ -173,15 +178,115 @@ class FockOp:
         )
 
 
+_R = QScalar.q_power(-2)
+
+
+def _gaussian(a: int, b: int) -> QScalar:
+    """The Gaussian binomial [a, b] in r = q^-2, for b >= 0; zero when a < b."""
+    out = ONE
+    for i in range(1, b + 1):
+        out = out * (ONE - _R ** (a - b + i)) / (ONE - _R**i)
+    return out
+
+
+@lru_cache(maxsize=None)
+def _column_poly(k: int, order: int) -> tuple:
+    """Column m of z^j zs^k as a polynomial in x = q^2m, one row per t-order.
+
+    Row n holds the (power of x, coefficient) pairs of the t^n coefficient of
+    (x; r)_k / (t x; r)_k with r = q^-2, which is
+
+        x^n h_n(1, r, ..., r^(k-1)) (x; r)_k,   h_n(1, ..., r^(k-1)) = [n+k-1, n]_r,
+
+    a polynomial of degree k + n in x (Andrews, *The Theory of Partitions*,
+    ch. 3, for h_n).  The q-binomial theorem (Gasper-Rahman, *Basic
+    Hypergeometric Series*, ch. 1) gives the coefficient of x^i in (x; r)_k
+    as (-1)^i r^(i(i-1)/2) [k, i]_r.  The factor (x; r)_k vanishes at
+    x = q^0, ..., q^2(k-1), so the polynomial reads zero on columns m < k.
+    """
+    poch = [(-1) ** i * _R ** (i * (i - 1) // 2) * _gaussian(k, i) for i in range(k + 1)]
+    rows = []
+    for n in range(order + 1):
+        h = _gaussian(n + k - 1, n)
+        rows.append(() if h.is_zero() else tuple((n + i, h * c) for i, c in enumerate(poch)))
+    return tuple(rows)
+
+
+def _over_one_den(rows: list) -> tuple:
+    """Rows of (power of x, QScalar) pairs as rows of (power, numerator) pairs and one denominator.
+
+    Write each denominator as s^v times a part with a constant term.  The
+    common denominator is s^top, top the largest v, times the product of the
+    distinct parts, so each numerator is one product by the rest and nothing
+    is divided: a rational's part such as {0: 7} is not primitive, and
+    ``_pquo`` divides by primitive polynomials only.  Laurent coefficients,
+    the common case, have the part 1 and give the denominator s^top.
+    """
+    dens: list = []
+    for row in rows:
+        for _, v in row:
+            if v.num and v.den not in dens:
+                dens.append(v.den)
+    lows = [min(d) for d in dens]
+    top = max(lows, default=0)
+    parts: list = []
+    which = []  # the index of each denominator's part
+    for d, low in zip(dens, lows):
+        part = {e - low: c for e, c in d.items()}
+        if part not in parts:
+            parts.append(part)
+        which.append(parts.index(part))
+    cofactors = []
+    for low, i in zip(lows, which):
+        cof = {top - low: 1}
+        for i2, part in enumerate(parts):
+            if i2 != i:
+                cof = _pmul(cof, part)
+        cofactors.append(cof)
+    den = {top: 1}
+    for part in parts:
+        den = _pmul(den, part)
+    num_rows = [[(p, _pmul(v.num, cofactors[dens.index(v.den)])) for p, v in row if v.num] for row in rows]
+    return num_rows, den
+
+
+def _read(num_rows: list, den: dict, m: int, order: int) -> TSeries:
+    """The series whose t^n coefficient is row n read at x = q^2m, over ``den``.
+
+    x^p = s^(4mp), so reading a row shifts the exponents of each numerator
+    by 4mp and adds them into one integer dict.  A monomial denominator
+    c s^E only cancels the lowest power of s, which the same pass takes out
+    (keyed on the shared exponent objects, as memoized values are);
+    otherwise one ``_reduce`` follows.
+    """
+    coeffs = []
+    for row in num_rows:
+        acc: dict = {}
+        get = acc.get
+        for p, num in row:
+            shift = 4 * m * p
+            for e, c in num.items():
+                e += shift
+                acc[e] = get(e, 0) + c
+        num = {e: c for e, c in acc.items() if c}
+        if not num:
+            coeffs.append(ZERO)
+        elif len(den) == 1:
+            ((top, c0),) = den.items()
+            low = min(min(num), top)
+            exps = _exponents(max(num))
+            num = {exps[e - low]: c for e, c in num.items()}
+            rest = _ONE_P if (top, c0) == (low, 1) else {top - low: c0}
+            coeffs.append(QScalar(*_normal(num, rest), _canonical=True))
+        else:
+            coeffs.append(QScalar(*_reduce(num, den), _canonical=True))
+    return TSeries(coeffs, order)
+
+
 @lru_cache(maxsize=None)
 def _column_value(k: int, m: int, order: int) -> TSeries:
-    """(q^2m; q^-2)_k / (t q^2m; q^-2)_k expanded in t; depends on k and m only."""
-    num = qpochhammer(QScalar.q_power(2 * m), -2, k)
-    out = TSeries.constant(num, order)
-    for i in range(k):
-        # 1/(1 - t q^(2(m-i))) as a geometric series
-        out = out * TSeries.geometric(QScalar.q_power(2 * (m - i)), order)
-    return out
+    """(q^2m; q^-2)_k / (t q^2m; q^-2)_k expanded in t: ``_column_poly`` read at x = q^2m."""
+    return _read(*_over_one_den(_column_poly(k, order)), m, order)
 
 
 @lru_cache(maxsize=None)
@@ -200,38 +305,54 @@ def _column_inverse(k: int, m: int, order: int) -> TSeries:
     return TSeries([c * inv for c in poly], order)
 
 
-def _accumulate(acc: dict, f: NCPoly, n: int, M: int, order: int) -> int:
-    """Add t^n times the action of f into acc; return the largest raise j - k.
+def _image(series, M: int, order: int) -> FockOp:
+    """The operator of sum_n t^n f_n over the polynomials f_n of ``series``.
 
-    ``acc`` maps (row, col) to a list of order + 1 coefficients.  Column m
-    of z^j zs^k is ``_column_value(k, m, order)``, and after the shift by
-    t^n only its coefficients 0..order-n survive, so only those are scaled
-    by the term's coefficient (not at all when it is one).
+    Terms are grouped by diagonal d = j - k, whose entries sit at (m + d, m).
+    A diagonal with one term scales ``_column_value`` by its coefficient (not
+    at all when that is one) and shifts it by t^n.  On a diagonal with
+    several terms, the t^N coefficient of every column is one polynomial in
+    x = q^2m: coefficient times ``_column_poly`` entry, summed once per power
+    of x over the terms with n <= N.  Each column is that polynomial read at
+    its x, with no product.  A term vanishes on columns m < k, so the columns
+    run from the smallest k of the diagonal on.
     """
-    keep = order + 1 - n
-    bound = 0
-    for (j, k), c in f.terms.items():
-        bound = max(bound, j - k)
-        unit = c.is_one()
-        for m in range(k, min(M, M + k - j) + 1):
-            key = (m - k + j, m)
-            row = acc.get(key)
-            if row is None:
-                row = acc[key] = [ZERO] * (order + 1)
-            cv = _column_value(k, m, order).coeffs
-            for i in range(keep):
-                row[n + i] = row[n + i] + (cv[i] if unit else cv[i] * c)
-    return bound
-
-
-def _from_accumulator(acc: dict, M: int, order: int, bound: int) -> FockOp:
-    return FockOp(M, order, {key: TSeries(v, order) for key, v in acc.items()}, bound)
+    diagonals: dict = {}
+    for n, f in enumerate(series):
+        for (j, k), c in f.terms.items():
+            diagonals.setdefault(j - k, []).append((n, k, c))
+    entries = {}
+    for d, terms in diagonals.items():
+        last = min(M, M - d)
+        if len(terms) == 1:
+            ((n, k, c),) = terms
+            unit = c.is_one()
+            for m in range(k, last + 1):
+                cv = _column_value(k, m, order).coeffs[: order + 1 - n]
+                entries[(m + d, m)] = TSeries((ZERO,) * n + (cv if unit else tuple(v * c for v in cv)), order)
+            continue
+        rows: list = [{} for _ in range(order + 1)]
+        for n, k, c in terms:
+            unit = c.is_one()
+            for row, table in zip(rows[n:], _column_poly(k, order)):
+                for p, v in table:
+                    v = v if unit else v * c
+                    prev = row.get(p)
+                    row[p] = v if prev is None else prev + v
+        num_rows, den = _over_one_den([list(row.items()) for row in rows])
+        for m in range(min(k for _, k, _ in terms), last + 1):
+            entries[(m + d, m)] = _read(num_rows, den, m, order)
+    return FockOp(M, order, entries, max(diagonals, default=0))
 
 
 def i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
-    """Linear extension of the monomial action to any polynomial."""
-    acc: dict = {}
-    return _from_accumulator(acc, M, order, _accumulate(acc, f, 0, M, order))
+    """Linear extension of the monomial action to any polynomial.
+
+    The same routine as ``q_map`` with f alone at t^0: several terms on a
+    diagonal are summed as one polynomial in x = q^2m before any column is
+    built, and a lone term scales the memoized column value.
+    """
+    return _image((f,), M, order)
 
 
 @lru_cache(maxsize=None)
@@ -261,15 +382,11 @@ def zhat_star(M: int, order: int) -> FockOp:
 def q_map(psi: StarSeries, M: int) -> FockOp:
     """Map a truncated star series to operators: the t^n coefficient acts shifted by t^n.
 
-    All coefficients go into one accumulator, each entry only up to the
-    t-order its shift keeps.
+    The terms of each diagonal are summed once, over all t-orders of
+    ``psi``, as polynomials in x = q^2m, and every column is read off the
+    sum (``_image``).
     """
-    order = psi.order
-    acc: dict = {}
-    bound = 0
-    for n, f in enumerate(psi.coeffs):
-        bound = max(bound, _accumulate(acc, f, n, M, order))
-    return _from_accumulator(acc, M, order, bound)
+    return _image(psi.coeffs, M, psi.order)
 
 
 def covariant_symbol(A: FockOp, window: int) -> WindowedSeries:

@@ -95,8 +95,12 @@ def pk_images(op, f, order: int) -> list:
     runs against that one binomial; for ``pk`` the division is not exact.
     ``f`` needs ``+``, ``-`` and ``.scale``.
     """
-    chain = [f]
-    for k in range(order):
+    return _extend_images(op, [f], order)
+
+
+def _extend_images(op, chain: list, order: int) -> list:
+    """Extend ``chain`` = [p_0(op) f, ..., p_i(op) f] in place through p_order; return it."""
+    for k in range(len(chain) - 1, order):
         qk1 = QScalar.q_power(2 * k + 2)
         nxt = op(chain[k]).scale(_ONE_MINUS_Q_SQ) + chain[k].scale(ONE + _Q - qk1 - qk1)
         if k:
@@ -105,16 +109,22 @@ def pk_images(op, f, order: int) -> list:
     return chain
 
 
+# p_0(x), p_1(x), ... as polynomials in z, the one chain behind every ``pk``
+_X_IMAGES = [NCPoly.one()]
+
+
 @lru_cache(maxsize=None)
 def pk(k: int) -> PkPolynomial:
     """The degree-k expansion polynomial: the recurrence of ``pk_images`` with op = x.
 
     The z^i form a commutative ring, so left multiplication by z stands in
-    for x.  The tests check p_k against its terminating j-sum for k <= 12.
+    for x.  All degrees share one chain, which a call extends only past the
+    highest degree computed so far.  The tests check p_k against its
+    terminating j-sum for k <= 12.
     """
     if k < 0:
         raise ValueError("pk needs k >= 0")
-    xk = pk_images(lambda g: nc_mul_left_z_power(1, g), NCPoly.one(), k)[k]
+    xk = _extend_images(lambda g: nc_mul_left_z_power(1, g), _X_IMAGES, k)[k]
     return PkPolynomial(k, [xk.coefficient(i, 0) for i in range(k + 1)])
 
 

@@ -12,6 +12,7 @@ from qdisc import (
     NCPoly,
     PkPolynomial,
     QScalar,
+    TSeries,
     TensorPoly,
     box,
     box_tilde,
@@ -21,7 +22,6 @@ from qdisc import (
     zhat,
     zhat_star,
 )
-from qdisc.fockrep import _column_value
 from qdisc.scalar import ONE, ZERO, qpochhammer
 from qdisc.verify import _deformation_terms
 
@@ -215,12 +215,26 @@ def box_tilde_sector_chain(b: int, c: int, order: int) -> tuple:
     return tuple(_deformation_terms(NCPoly.monomial(0, b), NCPoly.monomial(c, 0), order))
 
 
+@lru_cache(maxsize=None)
+def column_series(k: int, m: int, order: int) -> TSeries:
+    """(q^2m; q^-2)_k / (t q^2m; q^-2)_k as qpochhammer times k geometric series.
+
+    Knows nothing of ``fockrep._column_poly``: this is the oracle for the
+    column values of the monomial action.
+    """
+    out = TSeries.constant(qpochhammer(QScalar.q_power(2 * m), -2, k), order)
+    for i in range(k):
+        # 1/(1 - t q^(2(m-i))) as a geometric series
+        out = out * TSeries.geometric(QScalar.q_power(2 * (m - i)), order)
+    return out
+
+
 def naive_i_op(j: int, k: int, M: int, order: int) -> FockOp:
-    """The image of z^j zs^k built column by column from ``_column_value``."""
+    """The image of z^j zs^k built column by column from ``column_series``."""
     entries = {}
     for m in range(k, M + 1):
         if m - k + j <= M:
-            entries[(m - k + j, m)] = _column_value(k, m, order)
+            entries[(m - k + j, m)] = column_series(k, m, order)
     return FockOp(M, order, entries, max(j - k, 0))
 
 
@@ -249,7 +263,8 @@ def naive_q_map(psi, M: int) -> FockOp:
     """Sum over n of t^n times the whole image of the t^n coefficient.
 
     Scales every entry in full and only then drops what the shift pushes past
-    the truncation order: the oracle for the accumulating ``q_map``.
+    the truncation order: the oracle for ``q_map``, which sums each diagonal
+    once as a polynomial in x = q^2m.
     """
     order = psi.order
     out = FockOp.zero(M, order)

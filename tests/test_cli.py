@@ -331,3 +331,28 @@ def test_cli_import_leaves_verify_unloaded():
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
     assert proc.stdout.strip() == "False"
+
+
+def test_star_command_leaves_oracle_and_symmetry_unloaded():
+    src = os.path.dirname(os.path.dirname(qdisc.__file__))
+    code = (
+        "import io, sys, contextlib, qdisc.cli\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert qdisc.cli.main(['star', 'z*zs', 'zs*z', '--order', '2']) == 0\n"
+        "print(sorted(m for m in ('qdisc.fockrep', 'qdisc.uqsl2') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
+def test_every_public_name_resolves():
+    import qdisc.fockrep
+    import qdisc.uqsl2
+
+    for name in qdisc.__all__:
+        assert getattr(qdisc, name) is not None, name
+    assert qdisc.q_map is qdisc.fockrep.q_map
+    assert qdisc.GENERATORS is qdisc.uqsl2.GENERATORS
+    with pytest.raises(AttributeError):
+        qdisc.no_such_name

@@ -14,6 +14,7 @@ from qdisc import (
     ValidityError,
     Z,
     ZS,
+    ZERO,
     berezin,
     berezin_expansion,
     covariant_symbol,
@@ -26,12 +27,12 @@ from qdisc import (
     zhat,
     zhat_star,
 )
-from qdisc.fockrep import _column_inverse, _column_value
+from qdisc.fockrep import _column_inverse, _column_poly, _column_value
 from qdisc.star import StarSeries
 
 from qdisc.verify import _maps_back
 
-from conftest import berezin_horner, naive_berezin_op, naive_i_op, naive_i_op_poly, naive_q_map
+from conftest import berezin_horner, column_series, naive_berezin_op, naive_i_op, naive_i_op_poly, naive_q_map
 
 M, T = 16, 3
 Q2 = QScalar.q_power(2)
@@ -217,6 +218,62 @@ def test_q_map_drops_entries_whose_terms_cancel():
     got = q_map(psi, M)
     assert (2, 2) not in got.entries and (3, 3) in got.entries
     _same_op(got, naive_q_map(psi, M))
+
+
+def test_column_poly_reads_the_column_series():
+    # the table is a polynomial of degree k + n in x at t^n, and read at
+    # x = q^2m it is the column value; lower orders are prefixes of order 6
+    top = 6
+    for k in range(9):
+        table = _column_poly(k, top)
+        for order in range(top):
+            assert _column_poly(k, order) == table[: order + 1], (k, order)
+        for n, row in enumerate(table):
+            assert [p for p, _ in row] == ([] if k == 0 and n else list(range(n, n + k + 1))), (k, n)
+        for m in range(21):
+            x = QScalar.q_power(2 * m)
+            read = [sum((c * x**p for p, c in row), ZERO) for row in table]
+            want = column_series(k, m, top)
+            assert read == list(want.coeffs), (k, m)
+            assert _column_value(k, m, top) == want, (k, m)
+            assert _column_value(k, m, 2).coeffs == want.coeffs[:3], (k, m)
+
+
+def _several_term_series(order: int) -> StarSeries:
+    """Several terms on diagonals 0 and -1 at every t-order, one lone term on 2.
+
+    Coefficients are Laurent in q, rational with denominator 7 (``{0: 7}``),
+    both, one, and 1/(1 - q^2), whose denominator is no monomial.  On
+    diagonal 0 every term below t^order vanishes on the columns z^0, z^1,
+    z^2, and at t^order z zs - (1 - q^4) vanishes on z^2, so the whole entry
+    at column z^2 cancels.
+    """
+    laurent = QScalar.from_int(2) * QScalar.q_power(-3) - QScalar.q_power(1)
+    seventh = QScalar.from_fraction(Fraction(3, 7))
+    coeffs = []
+    for n in range(order + 1):
+        f = NCPoly.monomial(3, 3, seventh) + NCPoly.monomial(4, 4, laurent * QScalar.q_power(n))
+        f = f + NCPoly.monomial(0, 1, seventh * QScalar.q_power(-1)) + NCPoly.monomial(1, 2, laurent)
+        f = f + NCPoly.monomial(2, 3) + NCPoly.monomial(3, 4, ONE / (ONE - Q2))
+        if n == order:
+            f = f + NCPoly.monomial(1, 1) - NCPoly.scalar(ONE - QScalar.q_power(4))
+        if n == 0:
+            f = f + NCPoly.monomial(3, 1, laurent)
+        coeffs.append(f)
+    return StarSeries(coeffs, order)
+
+
+@pytest.mark.parametrize("order", [0, 3, 5])
+@pytest.mark.parametrize("cutoff", [0, 1, 8, 16])
+def test_q_map_matches_naive_route_on_diagonals_with_several_terms(cutoff, order):
+    psi = _several_term_series(order)
+    got = q_map(psi, cutoff)
+    _same_op(got, naive_q_map(psi, cutoff))
+    for f in psi.coeffs[:2]:
+        _same_op(i_op_poly(f, cutoff, order), naive_i_op_poly(f, cutoff, order))
+    assert (2, 2) not in got.entries
+    assert ((1, 1) in got.entries) == (cutoff >= 1)
+    assert ((3, 3) in got.entries) == (cutoff >= 3)
 
 
 @pytest.mark.parametrize("order", [3, 5])

@@ -22,7 +22,7 @@ from qdisc import (
     star,
 )
 
-from qdisc.star import _ck_mono
+from qdisc.star import _X_IMAGES, _ck_mono
 
 from conftest import berezin_horner, box_tilde_sector_chain, ck_horner, pk_sum_formula
 
@@ -53,6 +53,17 @@ def test_pk_matches_sum_formula():
     # the three-term recurrence against the terminating j-sum, exactly
     for k in range(13):
         assert pk(k) == pk_sum_formula(k), k
+
+
+def test_pk_degrees_share_one_chain():
+    # a high degree fills the chain; reading lower degrees, highest first and
+    # with the memo cleared, extends nothing
+    pk(12)
+    computed = len(_X_IMAGES)
+    pk.cache_clear()
+    for k in reversed(range(13)):
+        assert pk(k) == pk_sum_formula(k), k
+    assert len(_X_IMAGES) == computed
 
 
 def test_pk_rejects_negative():
