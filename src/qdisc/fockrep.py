@@ -11,12 +11,13 @@ finite equality check: mapping a truncated star series through ``q_map``
 must agree with the matrix product of the factors' images.
 
 With x = q^2m, the t^n coefficient of column m is a polynomial in x of
-degree k + n (``_column_poly``), and x^p is the shift s^(4mp).  So
-``q_map`` and ``i_op_poly`` group terms by diagonal j - k and sum the terms
-of one diagonal once per power of x and t-order, over one common
-denominator; every column is that sum read at its x, one integer dict of
-shifted numerators and one reduction, with no product.  A diagonal with a
-single term scales the memoized column value instead.
+degree k + n (``_column_poly``, integer numerators over a power of s), and
+x^p is the shift s^(4mp).  So ``q_map`` and ``i_op_poly`` group terms by
+diagonal j - k and sum the terms of one diagonal once per power of x and
+t-order, as integer multiply-adds over one common denominator; every column
+is that sum read at its x, one integer dict of shifted numerators and one
+reduction, with no product.  A diagonal with a single term scales the
+memoized column value instead.
 
 ``covariant_symbol`` inverts the picture (unique coefficients within a
 declared window), dividing by the closed-form column inverse
@@ -33,7 +34,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qpoly import NCPoly, WindowedSeries
-from .scalar import _ONE_P, ONE, ZERO, QScalar, TSeries, _exponents, _normal, _pmul, _reduce, qpochhammer
+from .scalar import _ONE_P, ONE, ZERO, QScalar, TSeries, _exponents, _normal, _padd, _pmul, _reduce, qpochhammer
 from .star import StarSeries, star
 
 
@@ -178,55 +179,62 @@ class FockOp:
         )
 
 
-_R = QScalar.q_power(-2)
+def _gaussian(a: int, b: int) -> dict:
+    """The Gaussian binomial [a, b] in r = q^-2 as {power of r: int}, for b >= 0.
 
-
-def _gaussian(a: int, b: int) -> QScalar:
-    """The Gaussian binomial [a, b] in r = q^-2, for b >= 0; zero when a < b."""
-    out = ONE
-    for i in range(1, b + 1):
-        out = out * (ONE - _R ** (a - b + i)) / (ONE - _R**i)
-    return out
+    [a, 0] = 1, and [a, b] = 0 when a < b.  The q-Pascal rule
+    [n, i] = [n-1, i-1] + r^i [n-1, i] keeps it in Z[r], with no division.
+    """
+    row = [_ONE_P] + [{}] * b  # [0, i] for i <= b
+    for n in range(1, a + 1):
+        row = [_ONE_P] + [_padd(row[i - 1], _pmul(row[i], {i: 1})) for i in range(1, b + 1)]
+    return row[b]
 
 
 @lru_cache(maxsize=None)
 def _column_poly(k: int, order: int) -> tuple:
-    """Column m of z^j zs^k as a polynomial in x = q^2m, one row per t-order.
+    """Column m of z^j zs^k as a polynomial in x = q^2m: (rows, den), one row per t-order.
 
-    Row n holds the (power of x, coefficient) pairs of the t^n coefficient of
-    (x; r)_k / (t x; r)_k with r = q^-2, which is
+    Row n holds the (power of x, integer numerator) pairs of the t^n
+    coefficient of (x; r)_k / (t x; r)_k with r = q^-2, over the one
+    denominator ``den``.  That coefficient is
 
         x^n h_n(1, r, ..., r^(k-1)) (x; r)_k,   h_n(1, ..., r^(k-1)) = [n+k-1, n]_r,
 
     a polynomial of degree k + n in x (Andrews, *The Theory of Partitions*,
     ch. 3, for h_n).  The q-binomial theorem (Gasper-Rahman, *Basic
     Hypergeometric Series*, ch. 1) gives the coefficient of x^i in (x; r)_k
-    as (-1)^i r^(i(i-1)/2) [k, i]_r.  The factor (x; r)_k vanishes at
+    as (-1)^i r^(i(i-1)/2) [k, i]_r.  Every coefficient is a polynomial in
+    r = s^-4, so ``den`` is s^(4 top), top the highest power of r, and the
+    numerator of r^e is s^(4 (top - e)).  The factor (x; r)_k vanishes at
     x = q^0, ..., q^2(k-1), so the polynomial reads zero on columns m < k.
     """
-    poch = [(-1) ** i * _R ** (i * (i - 1) // 2) * _gaussian(k, i) for i in range(k + 1)]
+    poch = [_pmul(_gaussian(k, i), {i * (i - 1) // 2: (-1) ** i}) for i in range(k + 1)]
     rows = []
     for n in range(order + 1):
         h = _gaussian(n + k - 1, n)
-        rows.append(() if h.is_zero() else tuple((n + i, h * c) for i, c in enumerate(poch)))
-    return tuple(rows)
+        rows.append([(n + i, _pmul(h, c)) for i, c in enumerate(poch)] if h else [])
+    top = max(e for row in rows for _, c in row for e in c)
+    exps = _exponents(4 * top)
+    rows = tuple(tuple((p, {exps[4 * (top - e)]: v for e, v in c.items()}) for p, c in row) for row in rows)
+    return rows, ({exps[4 * top]: 1} if top else _ONE_P)
 
 
-def _over_one_den(rows: list) -> tuple:
-    """Rows of (power of x, QScalar) pairs as rows of (power, numerator) pairs and one denominator.
+def _over_one_den(values: list) -> tuple:
+    """Nonzero QScalars as integer numerators over one denominator: (numerators, den).
 
+    ``_image`` puts the coefficients of a diagonal over one denominator so.
     Write each denominator as s^v times a part with a constant term.  The
     common denominator is s^top, top the largest v, times the product of the
     distinct parts, so each numerator is one product by the rest and nothing
     is divided: a rational's part such as {0: 7} is not primitive, and
-    ``_pquo`` divides by primitive polynomials only.  Laurent coefficients,
-    the common case, have the part 1 and give the denominator s^top.
+    ``_pquo`` divides by primitive polynomials only.  Laurent values have
+    the part 1 and give the denominator s^top.
     """
     dens: list = []
-    for row in rows:
-        for _, v in row:
-            if v.num and v.den not in dens:
-                dens.append(v.den)
+    for v in values:
+        if v.den not in dens:
+            dens.append(v.den)
     lows = [min(d) for d in dens]
     top = max(lows, default=0)
     parts: list = []
@@ -246,8 +254,7 @@ def _over_one_den(rows: list) -> tuple:
     den = {top: 1}
     for part in parts:
         den = _pmul(den, part)
-    num_rows = [[(p, _pmul(v.num, cofactors[dens.index(v.den)])) for p, v in row if v.num] for row in rows]
-    return num_rows, den
+    return [_pmul(v.num, cofactors[dens.index(v.den)]) for v in values], den
 
 
 def _read(num_rows: list, den: dict, m: int, order: int) -> TSeries:
@@ -286,7 +293,7 @@ def _read(num_rows: list, den: dict, m: int, order: int) -> TSeries:
 @lru_cache(maxsize=None)
 def _column_value(k: int, m: int, order: int) -> TSeries:
     """(q^2m; q^-2)_k / (t q^2m; q^-2)_k expanded in t: ``_column_poly`` read at x = q^2m."""
-    return _read(*_over_one_den(_column_poly(k, order)), m, order)
+    return _read(*_column_poly(k, order), m, order)
 
 
 @lru_cache(maxsize=None)
@@ -313,9 +320,13 @@ def _image(series, M: int, order: int) -> FockOp:
     at all when that is one) and shifts it by t^n.  On a diagonal with
     several terms, the t^N coefficient of every column is one polynomial in
     x = q^2m: coefficient times ``_column_poly`` entry, summed once per power
-    of x over the terms with n <= N.  Each column is that polynomial read at
-    its x, with no product.  A term vanishes on columns m < k, so the columns
-    run from the smallest k of the diagonal on.
+    of x over the terms with n <= N.  The coefficients go over one common
+    denominator once (``_over_one_den``) and the tables over the largest of
+    their powers of s, so the sums are integer multiply-adds into
+    {s-exponent: int} dicts, with no QScalar and no gcd.  Each column is
+    that polynomial read at its x, with no product.  A term vanishes on
+    columns m < k, so the columns run from the smallest k of the diagonal
+    on.
     """
     diagonals: dict = {}
     for n, f in enumerate(series):
@@ -331,15 +342,23 @@ def _image(series, M: int, order: int) -> FockOp:
                 cv = _column_value(k, m, order).coeffs[: order + 1 - n]
                 entries[(m + d, m)] = TSeries((ZERO,) * n + (cv if unit else tuple(v * c for v in cv)), order)
             continue
+        nums, den = _over_one_den([c for _, _, c in terms])
+        tables = [_column_poly(k, order) for _, k, _ in terms]
+        # every table is over a power of s: bring them all over the largest
+        top = max(min(tden) for _, tden in tables)
         rows: list = [{} for _ in range(order + 1)]
-        for n, k, c in terms:
-            unit = c.is_one()
-            for row, table in zip(rows[n:], _column_poly(k, order)):
-                for p, v in table:
-                    v = v if unit else v * c
-                    prev = row.get(p)
-                    row[p] = v if prev is None else prev + v
-        num_rows, den = _over_one_den([list(row.items()) for row in rows])
+        for (n, _, _), num, (table, tden) in zip(terms, nums, tables):
+            num = _pmul(num, {top - min(tden): 1})
+            for row, trow in zip(rows[n:], table):
+                for p, tnum in trow:
+                    acc = row.setdefault(p, {})
+                    get = acc.get
+                    for e2, c2 in num.items():
+                        for e1, c1 in tnum.items():
+                            e = e1 + e2
+                            acc[e] = get(e, 0) + c1 * c2
+        num_rows = [list(row.items()) for row in rows]
+        den = _pmul(den, {top: 1})
         for m in range(min(k for _, k, _ in terms), last + 1):
             entries[(m + d, m)] = _read(num_rows, den, m, order)
     return FockOp(M, order, entries, max(diagonals, default=0))

@@ -10,7 +10,10 @@ By Gauss's lemma every value of Q(s) is N/D with N and D in Z[s], so
 polynomial coefficients are plain Python ``int``s throughout.  The one gcd
 that keeps quotients reduced is a primitive pseudo-remainder sequence over
 Z[s] (W. S. Brown, "On Euclid's Algorithm and the Computation of
-Polynomial Greatest Common Divisors", J. ACM 18, 1971).  A
+Polynomial Greatest Common Divisors", J. ACM 18, 1971).  It is skipped
+where only a power of s can cancel: when both operands of a product or sum
+are Laurent polynomials, num over a monic s^E, as the numbers on the
+operator oracle's path are for monomial inputs.  A
 :class:`fractions.Fraction` appears only at the edges: rational input has
 its denominators cleared, and the text divides by the leading coefficient
 of the denominator when it prints.
@@ -253,10 +256,16 @@ class QScalar:
     gives a non-unit leading coefficient, which the text divides out (see
     :meth:`monic`).  Products cancel gcd(a, d) and gcd(c, b) before
     multiplying a/b by c/d, and sums with different denominators only test
-    the gcd of the two denominators against the new numerator.  Values are
-    immutable, so arithmetic may return an operand itself (x + 0 is x).
-    Conjugation is the identity (the coefficient field models real-valued
-    functions of real q), so the algebra involutions never touch scalars.
+    the gcd of the two denominators against the new numerator.  No gcd runs
+    when both denominators are monic powers of s: the product of a/s^E1 and
+    c/s^E2 is one ``_pmul`` over s^(E1+E2), a sum shifts each numerator to
+    the larger power and adds, and either cancels s^min(val(num), E) in one
+    shift (``_over_s_power``).  A monomial denominator with another leading
+    coefficient, such as 2 s^2 from 1/(2q) or 7 from 1/7, takes the general
+    route.  Values are immutable, so arithmetic may return an operand itself
+    (x + 0 is x).  Conjugation is the identity (the coefficient field models
+    real-valued functions of real q), so the algebra involutions never touch
+    scalars.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -316,17 +325,30 @@ class QScalar:
             return self
         if not self.num:
             return other
-        if self.den == other.den:
+        b, d = self.den, other.den
+        if b == d:
             num = _padd(self.num, other.num)
-            if self.den == _ONE_P:
+            if b == _ONE_P:
                 return QScalar(num, None, _canonical=True)
-            return QScalar(*_reduce(num, self.den), _canonical=True)
+            e = _s_exponent(b)
+            if e is not None:
+                return _over_s_power(num, e)
+            return QScalar(*_reduce(num, b), _canonical=True)
+        eb, ed = _s_exponent(b), _s_exponent(d)
+        if eb is not None and ed is not None:
+            # a/s^eb + c/s^ed: both numerators over the larger power of s
+            a, c = self.num, other.num
+            if eb < ed:
+                a = _pmul(a, {ed - eb: 1})
+            else:
+                c = _pmul(c, {eb - ed: 1})
+            return _over_s_power(_padd(a, c), max(eb, ed))
         # a/b + c/d = (a d' + c b') / (b d') with g = gcd(b, d), b = g b', d = g d';
         # only gcd(numerator, g) can cancel
-        g = _pgcd(self.den, other.den)
-        b1, d1 = _pquo(self.den, g), _pquo(other.den, g)
+        g = _pgcd(b, d)
+        b1, d1 = _pquo(b, g), _pquo(d, g)
         num = _padd(_pmul(self.num, d1), _pmul(other.num, b1))
-        den = _pmul(self.den, d1)
+        den = _pmul(b, d1)
         if not num:
             return ZERO
         g2 = _pgcd(num, g)
@@ -353,9 +375,13 @@ class QScalar:
         other = _coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.den == _ONE_P and other.den == _ONE_P:
+        b, d = self.den, other.den
+        if b == _ONE_P and d == _ONE_P:
             return QScalar(_pmul(self.num, other.num), None, _canonical=True)
-        return _mul_reduced(self.num, self.den, other.num, other.den)
+        eb, ed = _s_exponent(b), _s_exponent(d)
+        if eb is not None and ed is not None:
+            return _over_s_power(_pmul(self.num, other.num), eb + ed)
+        return _mul_reduced(self.num, b, other.num, d)
 
     __rmul__ = __mul__
 
@@ -428,6 +454,30 @@ class QScalar:
 
     def __repr__(self) -> str:
         return f"QScalar({self})"
+
+
+def _s_exponent(den: dict) -> int | None:
+    """E when den is the monic power s^E, else None."""
+    if len(den) == 1:
+        ((e, c),) = den.items()
+        if c == 1:
+            return e
+    return None
+
+
+def _over_s_power(num: dict, top: int) -> "QScalar":
+    """num / s^top in canonical form, for num in Z[s].
+
+    gcd(num, s^top) = s^min(val(num), top), so one shift cancels it and no
+    gcd runs.  The exponents are the shared objects, as ``_pmul`` gives them.
+    """
+    if not top or not num:
+        return QScalar(num, None, _canonical=True)
+    low = min(min(num), top)
+    exps = _exponents(max(max(num), top))
+    if low:
+        num = {exps[e - low]: c for e, c in num.items()}
+    return QScalar(num, {exps[top - low]: 1} if top > low else _ONE_P, _canonical=True)
 
 
 def _mul_reduced(a: dict, b: dict, c: dict, d: dict) -> "QScalar":

@@ -9,10 +9,11 @@ polynomials p_k and multiplying the legs back together:
 
 All p_k(op) come from one three-term recurrence (``pk_images``), and
 C_k(z^a zs^b, z^c zs^d) = z^a C_k(zs^b, z^c) zs^d, so one chain per sector
-(zs^b, z^c), memoized on (b, c, T), gives C_1..C_T and star costs a polynomial
-in T.  The chain stays on pure-power tensors zs^b' (x) z^c', where m0 box_tilde =
-box m0, so it runs box on zs^b z^c.  The identity is the ``box-factorization``
-law; tests/test_qcalc.py::test_factorization_identity checks it to exponent 12,
+(zs^b, z^c), extended as far as the highest order asked for, gives C_1..C_T
+and star costs a polynomial in T.  The chain stays on pure-power tensors
+zs^b' (x) z^c', where m0 box_tilde = box m0, so it runs box on zs^b z^c.
+The identity is the ``box-factorization`` law;
+tests/test_qcalc.py::test_factorization_identity checks it to exponent 12,
 and tests/test_star.py::test_sector_chain_matches_box_tilde_route the chains.
 
 Truncations at a run-wide t-order are the only objects ever materialized;
@@ -128,15 +129,27 @@ def pk(k: int) -> PkPolynomial:
     return PkPolynomial(k, [xk.coefficient(i, 0) for i in range(k + 1)])
 
 
+# (b, c) -> ([u_0, u_1, ...], [C_1, C_2, ...]), the one chain of each sector
+_SECTORS: dict = {}
+
+
 @lru_cache(maxsize=None)
 def _ck_mono(b: int, c: int, order: int) -> tuple:
     """(C_1, ..., C_order)(zs^b, z^c) for b, c >= 1.
 
     C_k = u_k - u_(k-1) with u_k = p_k(box)(zs^b z^c) = m0 p_k(box_tilde)(zs^b (x) z^c),
     as m0 box_tilde = box m0 on pure-power tensors (``box-factorization``).
+    All orders of a sector share one chain, which a call extends only past
+    the highest order computed so far, and every order's tuple holds the
+    same C_k objects.
     """
-    u = pk_images(box, nc_mul(NCPoly.monomial(0, b), NCPoly.monomial(c, 0)), order)
-    return tuple(u[k] - u[k - 1] for k in range(1, order + 1))
+    sector = _SECTORS.get((b, c))
+    if sector is None:
+        sector = _SECTORS[(b, c)] = ([nc_mul(NCPoly.monomial(0, b), NCPoly.monomial(c, 0))], [])
+    u, cs = sector
+    _extend_images(box, u, order)
+    cs.extend(u[k] - u[k - 1] for k in range(len(cs) + 1, order + 1))
+    return tuple(cs[:order])
 
 
 def ck(k: int, f1: NCPoly, f2: NCPoly) -> NCPoly:

@@ -220,14 +220,20 @@ def test_q_map_drops_entries_whose_terms_cancel():
     _same_op(got, naive_q_map(psi, M))
 
 
+def _column_rows(k: int, order: int) -> list:
+    """The rows of ``_column_poly(k, order)`` as (power of x, QScalar) pairs."""
+    rows, den = _column_poly(k, order)
+    return [[(p, QScalar(num, den)) for p, num in row] for row in rows]
+
+
 def test_column_poly_reads_the_column_series():
     # the table is a polynomial of degree k + n in x at t^n, and read at
     # x = q^2m it is the column value; lower orders are prefixes of order 6
     top = 6
     for k in range(9):
-        table = _column_poly(k, top)
+        table = _column_rows(k, top)
         for order in range(top):
-            assert _column_poly(k, order) == table[: order + 1], (k, order)
+            assert _column_rows(k, order) == table[: order + 1], (k, order)
         for n, row in enumerate(table):
             assert [p for p, _ in row] == ([] if k == 0 and n else list(range(n, n + k + 1))), (k, n)
         for m in range(21):
@@ -237,6 +243,15 @@ def test_column_poly_reads_the_column_series():
             assert read == list(want.coeffs), (k, m)
             assert _column_value(k, m, top) == want, (k, m)
             assert _column_value(k, m, 2).coeffs == want.coeffs[:3], (k, m)
+
+
+def test_column_poly_denominator_is_a_monic_power_of_s():
+    # the diagonal sums in _image shift every table to one power of s
+    for k in range(9):
+        for order in range(9):
+            rows, den = _column_poly(k, order)
+            assert len(den) == 1 and list(den.values()) == [1], (k, order, den)
+            assert all(type(c) is int for row in rows for _, num in row for c in num.values())
 
 
 def _several_term_series(order: int) -> StarSeries:

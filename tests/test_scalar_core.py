@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdisc import NCPoly, QScalar, parse_scalar, star
-from qdisc.scalar import _pgcd, _pmul
+from qdisc.scalar import _mul_reduced, _pgcd, _pmul
 
 SYM_S = sympy.Symbol("s")
 
@@ -109,6 +109,83 @@ def test_integer_inputs_match_sympy_cancel(a, b):
     for got, expected in ((a * b, sa * sb), (a + b, sa + sb)):
         assert (got.num, got.den) == canonical_from_sympy(expected)
         assert_canonical(got)
+
+
+# -- Laurent values: a monic power of s as the denominator --------------------------------
+
+
+@st.composite
+def laurent_qscalars(draw):
+    """num / s^E over Z, with numerators that s may divide, so the power must cancel."""
+    low = draw(st.integers(min_value=0, max_value=3))
+    num = {e + low: c for e, c in draw(_poly(False)).items()}
+    return QScalar(num, {draw(st.integers(min_value=0, max_value=6)): 1})
+
+
+# monomials whose leading coefficient is not 1 (1/(2q) and 1/7), and binomials
+OTHER_DENS = ({2: 2}, {0: 7}, {0: 1, 2: -1}, {0: 1, 4: 1}, {1: 3, 2: 1})
+
+
+@st.composite
+def other_den_qscalars(draw):
+    return QScalar(draw(_poly(True)), draw(st.sampled_from(OTHER_DENS)))
+
+
+def _check_against_sympy_and_general_product(a, b, op):
+    got = OPS[op](a, b)
+    assert (got.num, got.den) == canonical_from_sympy(OPS[op](to_sympy(a), to_sympy(b)))
+    assert_canonical(got)
+    if op == "*":
+        want = _mul_reduced(a.num, a.den, b.num, b.den)
+        assert (got.num, got.den) == (want.num, want.den)
+
+
+@settings(max_examples=200, deadline=None)
+@given(laurent_qscalars(), laurent_qscalars(), st.sampled_from(["+", "-", "*"]))
+def test_laurent_arithmetic_matches_sympy_cancel(a, b, op):
+    assert len(a.den) == 1 and list(a.den.values()) == [1]
+    _check_against_sympy_and_general_product(a, b, op)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    laurent_qscalars(),
+    st.one_of(other_den_qscalars(), qscalars()),
+    st.sampled_from(["+", "-", "*"]),
+    st.booleans(),
+)
+def test_laurent_mixed_with_other_denominators_matches_sympy_cancel(a, b, op, swap):
+    if swap:
+        a, b = b, a
+    _check_against_sympy_and_general_product(a, b, op)
+
+
+def test_laurent_power_of_s_cancels():
+    s = QScalar.s_power(1)
+    # s^2 * s^-3 = 1/s, and (1 + s)/s^2 + (s - 1)/s^2 = 2/s
+    got = QScalar.s_power(2) * QScalar.s_power(-3)
+    assert (got.num, got.den) == ({0: 1}, {1: 1})
+    got = (1 + s) / s**2 + (s - 1) / s**2
+    assert (got.num, got.den) == ({0: 2}, {1: 1})
+    # (s + s^3)/s^2 = 1/s + s; a numerator s^4 cancels the whole power
+    got = (s + s**3) * QScalar.s_power(-2)
+    assert (got.num, got.den) == ({0: 1, 2: 1}, {1: 1})
+    assert (s**4 * QScalar.s_power(-4)).den == {0: 1}
+    # sums that cancel to zero leave the canonical zero
+    x = (1 + s) / s**3
+    for got in (x - x, x + (-x), x * s - (s + s**2) / s**3):
+        assert (got.num, got.den) == ({}, {0: 1})
+
+
+def test_monomials_with_a_non_unit_lead_are_not_powers_of_s():
+    # 1/(2q) = 1/(2 s^2) and 1/7 keep their leading coefficient
+    half_q = QScalar({0: 1}, {2: 2})
+    seventh = QScalar.from_int(1) / 7
+    s2 = QScalar.s_power(-2)
+    assert ((half_q * s2).num, (half_q * s2).den) == ({0: 1}, {4: 2})
+    assert ((half_q + s2).num, (half_q + s2).den) == ({0: 3}, {2: 2})
+    assert ((seventh * s2).num, (seventh * s2).den) == ({0: 1}, {2: 7})
+    assert ((seventh + s2).num, (seventh + s2).den) == ({0: 7, 2: 1}, {2: 7})
 
 
 # -- one value, one form ------------------------------------------------------------------

@@ -22,7 +22,7 @@ from qdisc import (
     star,
 )
 
-from qdisc.star import _X_IMAGES, _ck_mono
+from qdisc.star import _SECTORS, _X_IMAGES, _ck_mono
 
 from conftest import berezin_horner, box_tilde_sector_chain, ck_horner, pk_sum_formula
 
@@ -157,6 +157,26 @@ def test_sector_chain_matches_box_tilde_route():
     for b in range(4):
         for c in range(4):
             assert _ck_mono(b, c, 8) == box_tilde_sector_chain(b, c, 8), (b, c)
+
+
+def test_ck_sectors_share_one_chain():
+    # a high order fills the sector's chain; lower orders, asked with the
+    # memo cleared, extend nothing and hand out the same C_k objects
+    _ck_mono(2, 3, 7)
+    u, cs = _SECTORS[(2, 3)]
+    high = len(u) - 1  # above 7 if an earlier call went higher
+    top = _ck_mono(2, 3, high)
+    _ck_mono.cache_clear()
+    for order in reversed(range(high + 1)):
+        got = _ck_mono(2, 3, order)
+        assert got == top[:order], order
+        assert all(a is b for a, b in zip(got, top)), order
+    assert len(u) == high + 1
+    # a higher order extends the same chain by one step
+    longer = _ck_mono(2, 3, high + 1)
+    assert _SECTORS[(2, 3)] == (u, cs) and len(u) == high + 2
+    assert longer[:high] == top
+    assert longer == tuple(berezin_horner(2, 3, high + 1)[1:])
 
 
 def test_sector_chain_matches_sum_formula_route():
