@@ -376,6 +376,11 @@ def main(argv=None) -> int:
         # fockrep.InsufficientCutoffError is a ValueError
         _emit({"schema": 1, "error": {"type": type(exc).__name__, "message": str(exc)}})
         return 2
+    except (MemoryError, RecursionError) as exc:
+        # an input too large for this process; the work's frames are gone by now
+        message = str(exc) or "the computation ran out of memory"
+        _emit({"schema": 1, "error": {"type": type(exc).__name__, "message": message}})
+        return 2
 
 
 if __name__ == "__main__":

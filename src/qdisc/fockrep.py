@@ -14,14 +14,16 @@ With x = q^2m, the t^n coefficient of column m is a polynomial in x of
 degree k + n (``_column_poly``, integer numerators over a power of s), and
 x^p is the shift s^(4mp).  So ``q_map`` and ``i_op_poly`` group terms by
 diagonal j - k and sum the terms of one diagonal once per power of x and
-t-order, as integer multiply-adds over one common denominator; every column
-is that sum read at its x, one integer dict of shifted numerators and one
-reduction, with no product.  A diagonal with a single term scales the
-memoized column value instead.
+t-order, as integer multiply-adds over one common denominator.  Most of
+those sums cancel, so their zero entries are dropped once per diagonal;
+every column is what is left read at its x, one integer dict of shifted
+numerators and one reduction, with no product.  A diagonal with a single
+term scales the memoized column value instead.
 
 ``covariant_symbol`` inverts the picture (unique coefficients within a
-declared window), dividing by the closed-form column inverse
-(t q^2m; q^-2)_k / (q^2m; q^-2)_k rather than inverting a series.  The
+declared window), multiplying by the numerator (t q^2m; q^-2)_k of the
+closed-form column inverse and dividing each coefficient exactly by its
+denominator (q^2m; q^-2)_k, rather than inverting a series.  The
 solve matches the operator on the window's columns by construction; the
 ``transform-map-back`` verify law checks the columns beyond.  ``berezin``
 and ``berezin_expansion`` give the two independent routes to the symbol of
@@ -34,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qpoly import NCPoly, WindowedSeries
-from .scalar import _ONE_P, ONE, ZERO, QScalar, TSeries, _exponents, _normal, _padd, _pmul, _reduce, qpochhammer
+from .scalar import _ONE_P, ONE, ZERO, QScalar, TSeries, _div_poly, _exponents, _normal, _padd, _pmul, _reduce, qpochhammer
 from .star import StarSeries, star
 
 
@@ -297,19 +299,21 @@ def _column_value(k: int, m: int, order: int) -> TSeries:
 
 
 @lru_cache(maxsize=None)
-def _column_inverse(k: int, m: int, order: int) -> TSeries:
-    """1 / _column_value(k, m, order) = (t q^2m; q^-2)_k / (q^2m; q^-2)_k, for k <= m.
+def _column_inverse(k: int, m: int, order: int) -> tuple:
+    """1 / _column_value(k, m, order) as (P, D), for k <= m: the series P / D.
 
-    The numerator is a polynomial of degree k in t, so the inverse is that
-    polynomial, truncated, times one scalar inverse: no series inversion.
+    P = (t q^2m; q^-2)_k is a polynomial of degree k in t, truncated, whose
+    coefficients are polynomials in s since k <= m.  D = (q^2m; q^-2)_k is a
+    polynomial in s, {exponent: int}, with constant term 1.  Dividing by D
+    is left to the caller, so a Laurent value over D is one exact division
+    (``scalar._div_poly``): no series inversion and no scalar inverse.
     """
     poly = [ONE] + [ZERO] * order
     for i in range(k):
         x = QScalar.q_power(2 * (m - i))
         for n in range(min(i + 1, order), 0, -1):
             poly[n] = poly[n] - x * poly[n - 1]
-    inv = ONE / qpochhammer(QScalar.q_power(2 * m), -2, k)
-    return TSeries([c * inv for c in poly], order)
+    return TSeries(poly, order), qpochhammer(QScalar.q_power(2 * m), -2, k).num
 
 
 def _image(series, M: int, order: int) -> FockOp:
@@ -323,7 +327,10 @@ def _image(series, M: int, order: int) -> FockOp:
     of x over the terms with n <= N.  The coefficients go over one common
     denominator once (``_over_one_den``) and the tables over the largest of
     their powers of s, so the sums are integer multiply-adds into
-    {s-exponent: int} dicts, with no QScalar and no gcd.  Each column is
+    {s-exponent: int} dicts, with no QScalar and no gcd.  Most of what
+    they accumulate cancels (75% of the entries at T = 3 over the 81
+    certification pairs), so the zero entries, and the powers of x left
+    with none, are dropped once, before any column is read.  Each column is
     that polynomial read at its x, with no product.  A term vanishes on
     columns m < k, so the columns run from the smallest k of the diagonal
     on.
@@ -357,7 +364,14 @@ def _image(series, M: int, order: int) -> FockOp:
                         for e1, c1 in tnum.items():
                             e = e1 + e2
                             acc[e] = get(e, 0) + c1 * c2
-        num_rows = [list(row.items()) for row in rows]
+        num_rows = []
+        for row in rows:
+            kept = []
+            for p, acc in row.items():
+                acc = {e: c for e, c in acc.items() if c}
+                if acc:
+                    kept.append((p, acc))
+            num_rows.append(kept)
         den = _pmul(den, {top: 1})
         for m in range(min(k for _, k, _ in terms), last + 1):
             entries[(m + d, m)] = _read(num_rows, den, m, order)
@@ -417,6 +431,14 @@ def covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
     column m introduces exactly one new unknown and the system is
     triangular.  Shifts whose window part is empty are skipped (their
     coefficients lie outside the window and are honestly unknown).
+
+    The new unknown is the residual of column m times its column inverse
+    P / D (``_column_inverse``): the residual times the t-polynomial P, on
+    the Laurent route of the ring, then each coefficient divided by the
+    polynomial D with one exact division (``scalar._div_poly``).  The
+    division falls back to the general quotient when D does not divide, as
+    for symbols with values such as 1/(1 - q).  A product by the column
+    value 1 of k = 0 is the other factor (``TSeries.__mul__``).
     """
     order = A.order
     shifts = sorted({row - col for row, col in A.entries})
@@ -437,7 +459,8 @@ def covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
             for k, a in enumerate(solved, start=k_min):
                 if not a.is_zero():
                     residual = residual - a * _column_value(k, m, order)
-            solved.append(residual * _column_inverse(m, m, order))
+            poly, den = _column_inverse(m, m, order)
+            solved.append(TSeries([_div_poly(c, den) for c in (residual * poly).coeffs], order))
         for k, a in enumerate(solved, start=k_min):
             if not a.is_zero():
                 out[(k + d, k)] = a
@@ -451,6 +474,8 @@ def berezin(j: int, k: int, window: int, M: int, order: int) -> WindowedSeries:
     contravariant symbol, to the covariant symbol of its operator.
     zhat_star^j is the monomial operator i_op(0, j) and zhat^k is
     i_op(k, 0), so the operator is one product of two memoized images.
+    Every entry of i_op(k, 0) is the unit series, so that product only
+    re-indexes the entries of i_op(0, j) (``TSeries.__mul__``).
     """
     return covariant_symbol(i_op(0, j, M, order) * i_op(k, 0, M, order), window)
 

@@ -480,6 +480,44 @@ def _over_s_power(num: dict, top: int) -> "QScalar":
     return QScalar(num, {exps[top - low]: 1} if top > low else _ONE_P, _canonical=True)
 
 
+def _pexquo(a: dict, g: dict) -> dict | None:
+    """a / g when g divides a in Z[s], else None: long division with a remainder check."""
+    dg = max(g)
+    lg = g[dg]
+    exps = _exponents(_pdeg(a))
+    q: dict = {}
+    r = dict(a)
+    for dr in range(_pdeg(r), dg - 1, -1):
+        lr = r.get(dr)
+        if lr is not None:
+            factor, rest = divmod(lr, lg)
+            if rest:
+                return None
+            q[exps[dr - dg]] = factor
+            _psubmul(r, factor, dr - dg, g)
+    return None if r else q
+
+
+def _div_poly(x: "QScalar", d: dict) -> "QScalar":
+    """x / d for a nonzero polynomial d in Z[s].
+
+    When x is a Laurent value num / s^E and d divides num in Z[s], the
+    quotient is (num / d) / s^E: one exact division, checked by its
+    remainder, and one shift that cancels the power of s.  For a d prime
+    to s, as (Q^m; Q^-1)_k is, the division is exact exactly when the
+    quotient is Laurent.  Otherwise the general quotient runs, with its
+    gcds.
+    """
+    if not x.num or d == _ONE_P:
+        return x
+    e = _s_exponent(x.den)
+    if e is not None:
+        quo = _pexquo(x.num, d)
+        if quo is not None:
+            return _over_s_power(quo, e)
+    return _mul_reduced(x.num, x.den, _ONE_P, d)
+
+
 def _mul_reduced(a: dict, b: dict, c: dict, d: dict) -> "QScalar":
     """(a/b) * (c/d) for a/b and c/d each reduced over Q.
 
@@ -601,6 +639,11 @@ class TSeries:
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)
 
+    def is_one(self) -> bool:
+        """Whether this is the unit series: constant term 1 and every other coefficient 0."""
+        c = self.coeffs
+        return c[0].is_one() and not any(x.num for x in c[1:])
+
     def __add__(self, other):
         if isinstance(other, TSeries):
             self._check(other)
@@ -623,8 +666,18 @@ class TSeries:
         return self.__add__(-_coerce(other))
 
     def __mul__(self, other):
+        """The truncated product.
+
+        A factor equal to the unit series gives back the other factor: the
+        test is on the values, so 1 + c t with c nonzero takes the general
+        convolution.
+        """
         if isinstance(other, TSeries):
             self._check(other)
+            if other.is_one():
+                return self
+            if self.is_one():
+                return other
             out = [ZERO] * (self.order + 1)
             for i, a in enumerate(self.coeffs):
                 if a.is_zero():

@@ -14,6 +14,7 @@ from qdisc import (
     QScalar,
     TSeries,
     TensorPoly,
+    WindowedSeries,
     box,
     box_tilde,
     d_partial,
@@ -227,6 +228,52 @@ def column_series(k: int, m: int, order: int) -> TSeries:
         # 1/(1 - t q^(2(m-i))) as a geometric series
         out = out * TSeries.geometric(QScalar.q_power(2 * (m - i)), order)
     return out
+
+
+def _t_linear_product(factors: list, order: int) -> TSeries:
+    """prod (a + b t) over the (a, b) pairs of ``factors``, truncated."""
+    out = TSeries.one(order)
+    for a, b in factors:
+        out = out * TSeries(([a, b] + [ZERO] * order)[: order + 1], order)
+    return out
+
+
+def qbinomial_covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
+    """The symbol ``covariant_symbol`` solves for, by the q-binomial theorem.
+
+    With Q = q^2, column m of z^(k+d) zs^k carries
+    (Q;Q)_m (tQ;Q)_(m-k) / ((tQ;Q)_m (Q;Q)_(m-k)).  Scaling column m of
+    shift d by (tQ;Q)_m / (Q;Q)_m turns the triangular system into a
+    convolution with g_j = (tQ;Q)_j / (Q;Q)_j, and the q-binomial theorem
+    (Gasper-Rahman, *Basic Hypergeometric Series*, section 1.3) inverts
+    sum_j g_j u^j as sum_j pi_j(t) u^j / (Q;Q)_j with
+    pi_j(t) = prod_(i<j) (tQ - Q^i).  So, with A_m = A.entry(m + d, m),
+
+        (Q;Q)_k a_k = sum_(m=k_min)^k [k, m]_Q (tQ;Q)_m pi_(k-m)(t) A_m.
+
+    No column value, no column inverse and no solve: the oracle for
+    ``covariant_symbol``.
+    """
+    order = A.order
+    Q = QScalar.q_power(2)
+
+    def qq(n):  # (Q;Q)_n
+        return qpochhammer(Q, 2, n)
+
+    out = {}
+    for d in sorted({row - col for row, col in A.entries}):
+        k_min, k_max = max(0, -d), window - max(d, 0)
+        for k in range(k_min, k_max + 1):
+            acc = TSeries.zero(order)
+            for m in range(k_min, k + 1):
+                weight = _t_linear_product([(ONE, -(Q ** (i + 1))) for i in range(m)], order)
+                pi = _t_linear_product([(-(Q**i), Q) for i in range(k - m)], order)
+                gauss = qq(k) / (qq(m) * qq(k - m))
+                acc = acc + weight * pi * A.entry(m + d, m) * gauss
+            a = acc / qq(k)
+            if not a.is_zero():
+                out[(k + d, k)] = a
+    return WindowedSeries(window, order, out)
 
 
 def naive_i_op(j: int, k: int, M: int, order: int) -> FockOp:

@@ -238,6 +238,21 @@ def test_verify_failure_exits_one(monkeypatch):
     assert payload["passed"] is False
 
 
+@pytest.mark.parametrize("exc", [MemoryError(), RecursionError("maximum recursion depth exceeded")])
+def test_resource_errors_are_structured(monkeypatch, exc):
+    import qdisc.cli as cli_mod
+
+    def exhausted(*args, **kwargs):
+        raise exc
+
+    monkeypatch.setattr(cli_mod, "star", exhausted)
+    code, payload = run_cli("star", "zs^5000", "z^5000", "--order", "1")
+    assert code == 2
+    assert payload["schema"] == 1
+    assert payload["error"]["type"] == type(exc).__name__
+    assert payload["error"]["message"]
+
+
 def test_latex_emission():
     code, payload = run_cli("star", "zs", "z", "--order", "1", "--latex")
     assert code == 0

@@ -1,5 +1,6 @@
 """Tests for the operator realization, symbols, and the transform."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -28,11 +29,20 @@ from qdisc import (
     zhat_star,
 )
 from qdisc.fockrep import _column_inverse, _column_poly, _column_value
+from qdisc.scalar import _s_exponent
 from qdisc.star import StarSeries
 
 from qdisc.verify import _maps_back
 
-from conftest import berezin_horner, column_series, naive_berezin_op, naive_i_op, naive_i_op_poly, naive_q_map
+from conftest import (
+    berezin_horner,
+    column_series,
+    naive_berezin_op,
+    naive_i_op,
+    naive_i_op_poly,
+    naive_q_map,
+    qbinomial_covariant_symbol,
+)
 
 M, T = 16, 3
 Q2 = QScalar.q_power(2)
@@ -291,11 +301,31 @@ def test_q_map_matches_naive_route_on_diagonals_with_several_terms(cutoff, order
     assert ((3, 3) in got.entries) == (cutoff >= 3)
 
 
+def test_diagonal_sums_hand_no_zero_entry_to_read(monkeypatch):
+    """Over the 81 certification pairs at T = 3, every numerator ``_read`` gets is nonzero."""
+    from qdisc import fockrep
+
+    seen = []
+    real = fockrep._read
+
+    def spy(num_rows, den, m, order):
+        seen.extend(num for row in num_rows for _, num in row)
+        return real(num_rows, den, m, order)
+
+    monkeypatch.setattr(fockrep, "_read", spy)
+    for a, b, c, d in itertools.product(range(3), repeat=4):
+        q_map(star(NCPoly.monomial(a, b), NCPoly.monomial(c, d), T), M)
+    assert seen
+    assert all(num and all(num.values()) for num in seen)
+
+
 @pytest.mark.parametrize("order", [3, 5])
 def test_column_inverse_is_series_inverse(order):
     for m in range(17):
         for k in range(m + 1):
-            assert _column_inverse(k, m, order) == _column_value(k, m, order).inverse(), (k, m)
+            poly, den = _column_inverse(k, m, order)
+            inverse = poly * (ONE / QScalar(den, None, _canonical=True))
+            assert inverse == _column_value(k, m, order).inverse(), (k, m)
 
 
 # -- covariant symbols ------------------------------------------------------------------
@@ -334,6 +364,40 @@ def test_covariant_symbol_of_operator_product():
 def test_covariant_symbol_needs_enough_cutoff():
     with pytest.raises(InsufficientCutoffError):
         covariant_symbol(i_op(1, 1, 4, T), 6)
+
+
+@pytest.mark.parametrize("cutoff,order,window", [(16, 3, 6), (9, 5, 5)])
+def test_covariant_symbol_matches_qbinomial_oracle_on_berezin_operators(cutoff, order, window):
+    for j in range(3):
+        for k in range(3):
+            A = i_op(0, j, cutoff, order) * i_op(k, 0, cutoff, order)
+            assert covariant_symbol(A, window) == qbinomial_covariant_symbol(A, window), (j, k)
+
+
+def test_covariant_symbol_matches_qbinomial_oracle_on_q_map_images(rng, rand_ncpoly):
+    for _ in range(4):
+        A = q_map(star(rand_ncpoly(rng, 2, 3), rand_ncpoly(rng, 2, 3), T), M)
+        assert covariant_symbol(A, 6) == qbinomial_covariant_symbol(A, 6)
+    # negative powers of q: Laurent values over a power of s that must survive the division
+    f = NCPoly.monomial(2, 1, QScalar.q_power(-1)) + NCPoly.monomial(0, 1, QScalar.q_power(-3))
+    A = q_map(star(f, NCPoly.monomial(1, 1, QScalar.q_power(-2)), T), M)
+    sym = covariant_symbol(A, 6)
+    assert sym == qbinomial_covariant_symbol(A, 6)
+    assert any(c.den != {0: 1} for ts in sym.entries.values() for c in ts.coeffs)
+
+
+def test_covariant_symbol_matches_qbinomial_oracle_off_the_laurent_values():
+    """Symbols whose values are not Laurent: the solve's exact division falls back."""
+    from qdisc import FockOp
+
+    three_sevenths = QScalar.from_fraction(Fraction(3, 7))
+    diagonal = FockOp(M, T, {(m, m): TSeries.constant(c, T) for m, c in enumerate((1, 2, three_sevenths))})
+    f = NCPoly.monomial(1, 1, ONE / (ONE - QScalar.q_power(1))) + NCPoly.monomial(0, 0, three_sevenths)
+    for A in (diagonal, i_op_poly(f, M, T)):
+        sym = covariant_symbol(A, 6)
+        assert sym == qbinomial_covariant_symbol(A, 6)
+        # a value that is not Laurent can only come out of the fallback
+        assert any(_s_exponent(c.den) is None for ts in sym.entries.values() for c in ts.coeffs)
 
 
 # -- the transform ------------------------------------------------------------------------

@@ -14,8 +14,8 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qdisc import NCPoly, QScalar, parse_scalar, star
-from qdisc.scalar import _mul_reduced, _pgcd, _pmul
+from qdisc import NCPoly, QScalar, TSeries, parse_scalar, star
+from qdisc.scalar import _div_poly, _mul_reduced, _padd, _pexquo, _pgcd, _pmul
 
 SYM_S = sympy.Symbol("s")
 
@@ -186,6 +186,77 @@ def test_monomials_with_a_non_unit_lead_are_not_powers_of_s():
     assert ((half_q + s2).num, (half_q + s2).den) == ({0: 3}, {2: 2})
     assert ((seventh * s2).num, (seventh * s2).den) == ({0: 1}, {2: 7})
     assert ((seventh + s2).num, (seventh + s2).den) == ({0: 7, 2: 1}, {2: 7})
+
+
+# -- exact division by a polynomial -------------------------------------------------------
+
+# (q^4; q^-2)_1, (q^6; q^-2)_2 and divisors that are not of that shape
+DIVISORS = ({0: 1, 4: -1}, {0: 1, 4: -1, 8: -1, 12: 1}, {0: 2, 1: 1}, {1: 1, 3: -1})
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(laurent_qscalars(), other_den_qscalars(), qscalars()),
+    st.sampled_from(DIVISORS),
+    st.booleans(),
+)
+def test_div_poly_matches_the_general_quotient(x, d, multiple):
+    as_scalar = QScalar(d, None, _canonical=True)
+    if multiple:  # d divides the numerator, so a Laurent x takes the exact division
+        x = x * as_scalar
+    got = _div_poly(x, d)
+    want = x / as_scalar
+    assert (got.num, got.den) == (want.num, want.den)
+    assert_canonical(got)
+
+
+def test_exact_quotient_checks_its_remainder():
+    d = {0: 1, 4: -1}
+    assert _pexquo(_pmul({0: 3, 1: -1, 9: 2}, d), d) == {0: 3, 1: -1, 9: 2}
+    assert _pexquo({0: 1}, d) is None
+    assert _pexquo(_padd(_pmul({5: 1}, d), {0: 1}), d) is None  # a remainder below deg d
+    assert _pexquo({4: 3}, {4: 2}) is None  # the leading coefficients do not divide
+
+
+# -- the unit series ----------------------------------------------------------------------
+
+
+def _convolve(a: TSeries, b: TSeries) -> TSeries:
+    """The truncated product coefficient by coefficient, with no shortcut."""
+    out = []
+    for n in range(a.order + 1):
+        acc = QScalar({})
+        for i in range(n + 1):
+            acc = acc + a.coeffs[i] * b.coeffs[n - i]
+        out.append(acc)
+    return TSeries(out, a.order)
+
+
+def _tseries(order: int):
+    coeffs = st.one_of(laurent_qscalars(), other_den_qscalars(), qscalars())
+    return st.lists(coeffs, min_size=order + 1, max_size=order + 1).map(TSeries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(min_value=0, max_value=3).flatmap(_tseries), st.booleans())
+def test_unit_series_product_matches_the_convolution(a, swap):
+    one = TSeries.one(a.order)
+    # the unit as a value built by arithmetic, not only by the constructor
+    for u in (one, (one + one) - one):
+        got = u * a if swap else a * u
+        assert got == _convolve(u, a) == a
+
+
+def test_unit_constant_term_with_a_higher_term_is_not_the_unit():
+    s, T = QScalar.s_power(1), 3
+    one = QScalar.from_int(1)
+    zero = QScalar({})
+    a = TSeries([QScalar.s_power(-2), one / 7, zero, s], T)
+    for u in (TSeries([one, s, zero, zero], T), TSeries([one, zero, zero, s], T)):
+        assert not u.is_one()
+        for x, y in ((u, a), (a, u), (u, u)):
+            assert x * y == _convolve(x, y)
+        assert u * a != a and a * u != a
 
 
 # -- one value, one form ------------------------------------------------------------------
