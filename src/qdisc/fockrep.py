@@ -17,15 +17,17 @@ diagonal j - k and sum the terms of one diagonal once per power of x and
 t-order, as integer multiply-adds over one common denominator.  Most of
 those sums cancel, so their zero entries are dropped once per diagonal;
 every column is what is left read at its x, one integer dict of shifted
-numerators and one reduction, with no product.  A diagonal with a single
-term scales the memoized column value instead.
+numerators over that denominator, with no product.  ``scalar._canonical``
+brings it to canonical form, by one shift when the denominator is a
+monomial c s^E and by a gcd otherwise.  A diagonal with a single term
+scales the memoized column value instead.
 
 ``covariant_symbol`` inverts the picture (unique coefficients within a
-declared window), multiplying by the numerator (t q^2m; q^-2)_k of the
-closed-form column inverse and dividing each coefficient exactly by its
-denominator (q^2m; q^-2)_k, rather than inverting a series.  The
-solve matches the operator on the window's columns by construction; the
-``transform-map-back`` verify law checks the columns beyond.  ``berezin``
+declared window): it multiplies by the numerator (t q^2m; q^-2)_k of the
+closed-form column inverse and divides each coefficient exactly by its
+denominator (q^2m; q^-2)_k.  The solve matches the operator on the
+window's columns by construction; the ``transform-map-back`` verify law
+checks the columns beyond.  ``berezin``
 and ``berezin_expansion`` give the two independent routes to the symbol of
 zhat_star^j zhat^k: the operator solve here, and the differential route,
 which is the deformed product zs^j * z^k that ``star`` computes.
@@ -33,10 +35,10 @@ which is the deformed product zs^j * z^k that ``star`` computes.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
 from .qpoly import NCPoly, WindowedSeries
-from .scalar import _ONE_P, ONE, ZERO, QScalar, TSeries, _div_poly, _exponents, _normal, _padd, _pmul, _reduce, qpochhammer
+from .scalar import _ONE_P, ZERO, QScalar, TSeries, _canonical, _div_poly, _exponents, _padd, _pmul
 from .star import StarSeries, star
 
 
@@ -194,6 +196,16 @@ def _gaussian(a: int, b: int) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _poch(k: int) -> tuple:
+    """The coefficients of x^0, ..., x^k in (x; r)_k, r = q^-2, as {power of r: int}.
+
+    The q-binomial theorem (Gasper-Rahman, *Basic Hypergeometric Series*,
+    ch. 1) gives the coefficient of x^i as (-1)^i r^(i(i-1)/2) [k, i]_r.
+    """
+    return tuple(_pmul(_gaussian(k, i), {i * (i - 1) // 2: (-1) ** i}) for i in range(k + 1))
+
+
+@lru_cache(maxsize=None)
 def _column_poly(k: int, order: int) -> tuple:
     """Column m of z^j zs^k as a polynomial in x = q^2m: (rows, den), one row per t-order.
 
@@ -204,14 +216,13 @@ def _column_poly(k: int, order: int) -> tuple:
         x^n h_n(1, r, ..., r^(k-1)) (x; r)_k,   h_n(1, ..., r^(k-1)) = [n+k-1, n]_r,
 
     a polynomial of degree k + n in x (Andrews, *The Theory of Partitions*,
-    ch. 3, for h_n).  The q-binomial theorem (Gasper-Rahman, *Basic
-    Hypergeometric Series*, ch. 1) gives the coefficient of x^i in (x; r)_k
-    as (-1)^i r^(i(i-1)/2) [k, i]_r.  Every coefficient is a polynomial in
-    r = s^-4, so ``den`` is s^(4 top), top the highest power of r, and the
-    numerator of r^e is s^(4 (top - e)).  The factor (x; r)_k vanishes at
+    ch. 3, for h_n), with the coefficients of (x; r)_k from ``_poch``.
+    Every coefficient is a polynomial in r = s^-4, so ``den`` is s^(4 top),
+    top the highest power of r, and the numerator of r^e is
+    s^(4 (top - e)).  The factor (x; r)_k vanishes at
     x = q^0, ..., q^2(k-1), so the polynomial reads zero on columns m < k.
     """
-    poch = [_pmul(_gaussian(k, i), {i * (i - 1) // 2: (-1) ** i}) for i in range(k + 1)]
+    poch = _poch(k)
     rows = []
     for n in range(order + 1):
         h = _gaussian(n + k - 1, n)
@@ -225,37 +236,18 @@ def _column_poly(k: int, order: int) -> tuple:
 def _over_one_den(values: list) -> tuple:
     """Nonzero QScalars as integer numerators over one denominator: (numerators, den).
 
-    ``_image`` puts the coefficients of a diagonal over one denominator so.
-    Write each denominator as s^v times a part with a constant term.  The
-    common denominator is s^top, top the largest v, times the product of the
-    distinct parts, so each numerator is one product by the rest and nothing
-    is divided: a rational's part such as {0: 7} is not primitive, and
-    ``_pquo`` divides by primitive polynomials only.  Laurent values have
-    the part 1 and give the denominator s^top.
+    ``den`` is the product of the distinct denominators, and each numerator
+    is one product by the other denominators, so nothing is divided;
+    ``_read`` cancels what the sum leaves in common.
     """
     dens: list = []
     for v in values:
         if v.den not in dens:
             dens.append(v.den)
-    lows = [min(d) for d in dens]
-    top = max(lows, default=0)
-    parts: list = []
-    which = []  # the index of each denominator's part
-    for d, low in zip(dens, lows):
-        part = {e - low: c for e, c in d.items()}
-        if part not in parts:
-            parts.append(part)
-        which.append(parts.index(part))
-    cofactors = []
-    for low, i in zip(lows, which):
-        cof = {top - low: 1}
-        for i2, part in enumerate(parts):
-            if i2 != i:
-                cof = _pmul(cof, part)
-        cofactors.append(cof)
-    den = {top: 1}
-    for part in parts:
-        den = _pmul(den, part)
+    if len(dens) == 1:
+        return [v.num for v in values], dens[0]
+    cofactors = [reduce(_pmul, dens[:i] + dens[i + 1 :]) for i in range(len(dens))]
+    den = _pmul(cofactors[0], dens[0])
     return [_pmul(v.num, cofactors[dens.index(v.den)]) for v in values], den
 
 
@@ -263,10 +255,8 @@ def _read(num_rows: list, den: dict, m: int, order: int) -> TSeries:
     """The series whose t^n coefficient is row n read at x = q^2m, over ``den``.
 
     x^p = s^(4mp), so reading a row shifts the exponents of each numerator
-    by 4mp and adds them into one integer dict.  A monomial denominator
-    c s^E only cancels the lowest power of s, which the same pass takes out
-    (keyed on the shared exponent objects, as memoized values are);
-    otherwise one ``_reduce`` follows.
+    by 4mp and adds them into one integer dict, and ``_canonical`` cancels
+    it against ``den``.
     """
     coeffs = []
     for row in num_rows:
@@ -277,18 +267,7 @@ def _read(num_rows: list, den: dict, m: int, order: int) -> TSeries:
             for e, c in num.items():
                 e += shift
                 acc[e] = get(e, 0) + c
-        num = {e: c for e, c in acc.items() if c}
-        if not num:
-            coeffs.append(ZERO)
-        elif len(den) == 1:
-            ((top, c0),) = den.items()
-            low = min(min(num), top)
-            exps = _exponents(max(num))
-            num = {exps[e - low]: c for e, c in num.items()}
-            rest = _ONE_P if (top, c0) == (low, 1) else {top - low: c0}
-            coeffs.append(QScalar(*_normal(num, rest), _canonical=True))
-        else:
-            coeffs.append(QScalar(*_reduce(num, den), _canonical=True))
+        coeffs.append(_canonical({e: c for e, c in acc.items() if c}, den))
     return TSeries(coeffs, order)
 
 
@@ -302,18 +281,21 @@ def _column_value(k: int, m: int, order: int) -> TSeries:
 def _column_inverse(k: int, m: int, order: int) -> tuple:
     """1 / _column_value(k, m, order) as (P, D), for k <= m: the series P / D.
 
-    P = (t q^2m; q^-2)_k is a polynomial of degree k in t, truncated, whose
-    coefficients are polynomials in s since k <= m.  D = (q^2m; q^-2)_k is a
-    polynomial in s, {exponent: int}, with constant term 1.  Dividing by D
-    is left to the caller, so a Laurent value over D is one exact division
-    (``scalar._div_poly``): no series inversion and no scalar inverse.
+    P = (t x; r)_k truncated and D = (x; r)_k, with x = q^2m and r = q^-2,
+    both read off ``_poch(k)``: the t^i coefficient of P is its x^i
+    coefficient times x^i, and D is the sum of those.  x^i r^e is
+    s^(4(mi - e)), a power of s since k <= m, so P has polynomial
+    coefficients and D is an {exponent: int} polynomial with constant term
+    1.  Dividing by D is left to the caller, so a Laurent value over D is
+    one exact division (``scalar._div_poly``).
     """
-    poly = [ONE] + [ZERO] * order
-    for i in range(k):
-        x = QScalar.q_power(2 * (m - i))
-        for n in range(min(i + 1, order), 0, -1):
-            poly[n] = poly[n] - x * poly[n - 1]
-    return TSeries(poly, order), qpochhammer(QScalar.q_power(2 * m), -2, k).num
+    exps = _exponents(4 * m * k)
+    terms = [{exps[4 * (m * i - e)]: c for e, c in poly.items()} for i, poly in enumerate(_poch(k))]
+    den: dict = {}
+    for term in terms:
+        den = _padd(den, term)
+    coeffs = [QScalar(term, None, _canonical=True) for term in terms[: order + 1]]
+    return TSeries(coeffs + [ZERO] * (order - k), order), den
 
 
 def _image(series, M: int, order: int) -> FockOp:

@@ -7,13 +7,13 @@ stay polynomial.  On top of Q(s) sits :class:`TSeries`, a power series in a
 second formal parameter ``t`` truncated at a run-wide order.
 
 By Gauss's lemma every value of Q(s) is N/D with N and D in Z[s], so
-polynomial coefficients are plain Python ``int``s throughout.  The one gcd
-that keeps quotients reduced is a primitive pseudo-remainder sequence over
-Z[s] (W. S. Brown, "On Euclid's Algorithm and the Computation of
-Polynomial Greatest Common Divisors", J. ACM 18, 1971).  It is skipped
-where only a power of s can cancel: when both operands of a product or sum
-are Laurent polynomials, num over a monic s^E, as the numbers on the
-operator oracle's path are for monomial inputs.  A
+polynomial coefficients are plain Python ``int``s throughout, and every
+value has one canonical pair.  One routine, ``_canonical``, brings a pair
+there: a monomial denominator c s^E shares with N only s^min(val(N), E)
+and integer content, so one shift and one content division do; any other
+denominator takes the gcd, a primitive pseudo-remainder sequence over Z[s]
+(W. S. Brown, "On Euclid's Algorithm and the Computation of Polynomial
+Greatest Common Divisors", J. ACM 18, 1971).  A
 :class:`fractions.Fraction` appears only at the edges: rational input has
 its denominators cleared, and the text divides by the leading coefficient
 of the denominator when it prints.
@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Union
 
 
 # ---------------------------------------------------------------------------
@@ -102,26 +102,30 @@ def _psubmul(r: dict, factor, shift: int, b: dict) -> None:
             del r[e2]
 
 
-def _pquo(a: dict, g: dict) -> dict:
-    """The exact quotient a / g for a primitive g that divides a over Q.
+def _pquo(a: dict, g: dict) -> dict | None:
+    """a / g when g divides a in Z[s], else None: long division with a remainder check.
 
-    By Gauss's lemma the quotient lies in Z[s], so each step divides the
-    leading coefficient by lc(g) without remainder.
+    After a gcd, g is primitive and divides a over Q, so by Gauss's lemma
+    the quotient lies in Z[s] and is always found.
     """
     if g == _ONE_P:
         return a
     dg = max(g)
-    if len(g) == 1:  # a primitive monomial is s^dg
-        return {e - dg: c for e, c in a.items()}
     lg = g[dg]
+    if len(g) == 1 and lg == 1:  # s^dg: one shift
+        return {e - dg: c for e, c in a.items()} if not a or min(a) >= dg else None
+    exps = _exponents(_pdeg(a))
     q: dict = {}
     r = dict(a)
     for dr in range(_pdeg(r), dg - 1, -1):
         lr = r.get(dr)
         if lr is not None:
-            factor = q[dr - dg] = lr // lg
+            factor, rest = divmod(lr, lg)
+            if rest:
+                return None
+            q[exps[dr - dg]] = factor
             _psubmul(r, factor, dr - dg, g)
-    return q
+    return None if r else q
 
 
 def _pprimitive(a: dict) -> dict:
@@ -254,15 +258,13 @@ class QScalar:
     package builds itself has leading coefficient 1, and then the form is
     the monic one; only rational input such as ``1/2`` or ``1/(2 - 3*q)``
     gives a non-unit leading coefficient, which the text divides out (see
-    :meth:`monic`).  Products cancel gcd(a, d) and gcd(c, b) before
-    multiplying a/b by c/d, and sums with different denominators only test
-    the gcd of the two denominators against the new numerator.  No gcd runs
-    when both denominators are monic powers of s: the product of a/s^E1 and
-    c/s^E2 is one ``_pmul`` over s^(E1+E2), a sum shifts each numerator to
-    the larger power and adds, and either cancels s^min(val(num), E) in one
-    shift (``_over_s_power``).  A monomial denominator with another leading
-    coefficient, such as 2 s^2 from 1/(2q) or 7 from 1/7, takes the general
-    route.  Values are immutable, so arithmetic may return an operand itself
+    :meth:`monic`).  When both denominators are monomials c s^E, as for
+    Laurent values, 1/7 or 1/(2q), a product or sum is one pair over a
+    monomial and ``_canonical`` finishes it with a shift and no gcd.
+    Otherwise products cancel gcd(a, d) and gcd(c, b) before multiplying
+    a/b by c/d, and sums with different denominators only test the gcd of
+    the two denominators against the new numerator.  Values are immutable,
+    so arithmetic may return an operand itself
     (x + 0 is x).  Conjugation is the identity (the coefficient field models
     real-valued functions of real q), so the algebra involutions never touch
     scalars.
@@ -327,22 +329,14 @@ class QScalar:
             return other
         b, d = self.den, other.den
         if b == d:
-            num = _padd(self.num, other.num)
-            if b == _ONE_P:
-                return QScalar(num, None, _canonical=True)
-            e = _s_exponent(b)
-            if e is not None:
-                return _over_s_power(num, e)
-            return QScalar(*_reduce(num, b), _canonical=True)
-        eb, ed = _s_exponent(b), _s_exponent(d)
-        if eb is not None and ed is not None:
-            # a/s^eb + c/s^ed: both numerators over the larger power of s
-            a, c = self.num, other.num
-            if eb < ed:
-                a = _pmul(a, {ed - eb: 1})
-            else:
-                c = _pmul(c, {eb - ed: 1})
-            return _over_s_power(_padd(a, c), max(eb, ed))
+            return _canonical(_padd(self.num, other.num), b)
+        if len(b) == 1 and len(d) == 1:
+            # a/(cb s^eb) + c/(cd s^ed): both numerators over cb cd s^top
+            ((eb, cb),), ((ed, cd),) = b.items(), d.items()
+            top = max(eb, ed)
+            a = self.num if eb == top and cd == 1 else _pmul(self.num, {top - eb: cd})
+            c = other.num if ed == top and cb == 1 else _pmul(other.num, {top - ed: cb})
+            return _canonical(_padd(a, c), {top: cb * cd})
         # a/b + c/d = (a d' + c b') / (b d') with g = gcd(b, d), b = g b', d = g d';
         # only gcd(numerator, g) can cancel
         g = _pgcd(b, d)
@@ -376,11 +370,12 @@ class QScalar:
         if other is NotImplemented:
             return NotImplemented
         b, d = self.den, other.den
-        if b == _ONE_P and d == _ONE_P:
-            return QScalar(_pmul(self.num, other.num), None, _canonical=True)
-        eb, ed = _s_exponent(b), _s_exponent(d)
-        if eb is not None and ed is not None:
-            return _over_s_power(_pmul(self.num, other.num), eb + ed)
+        if len(b) == 1 and len(d) == 1:
+            num = _pmul(self.num, other.num)
+            if d == _ONE_P:
+                return _canonical(num, b)
+            ((eb, cb),), ((ed, cd),) = b.items(), d.items()
+            return _canonical(num, {eb + ed: cb * cd})
         return _mul_reduced(self.num, b, other.num, d)
 
     __rmul__ = __mul__
@@ -456,65 +451,46 @@ class QScalar:
         return f"QScalar({self})"
 
 
-def _s_exponent(den: dict) -> int | None:
-    """E when den is the monic power s^E, else None."""
-    if len(den) == 1:
-        ((e, c),) = den.items()
-        if c == 1:
-            return e
-    return None
+def _canonical(num: dict, den: dict) -> "QScalar":
+    """num/den in canonical form, for num and den in Z[s] and den nonzero.
 
-
-def _over_s_power(num: dict, top: int) -> "QScalar":
-    """num / s^top in canonical form, for num in Z[s].
-
-    gcd(num, s^top) = s^min(val(num), top), so one shift cancels it and no
-    gcd runs.  The exponents are the shared objects, as ``_pmul`` gives them.
+    A denominator of 1 leaves num as it is.  A monomial c s^E shares with
+    num only s^min(val(num), E) and integer content, so one shift (keyed on
+    the shared exponent objects, as ``_pmul`` gives them) and ``_normal``
+    finish it with no gcd.  Any other denominator takes the gcd
+    (``_reduce``).
     """
-    if not top or not num:
-        return QScalar(num, None, _canonical=True)
+    if den == _ONE_P:
+        return QScalar(num, _ONE_P, _canonical=True)
+    if len(den) > 1:
+        return QScalar(*_reduce(num, den), _canonical=True)
+    if not num:
+        return ZERO
+    ((top, c),) = den.items()
     low = min(min(num), top)
     exps = _exponents(max(max(num), top))
     if low:
-        num = {exps[e - low]: c for e, c in num.items()}
-    return QScalar(num, {exps[top - low]: 1} if top > low else _ONE_P, _canonical=True)
-
-
-def _pexquo(a: dict, g: dict) -> dict | None:
-    """a / g when g divides a in Z[s], else None: long division with a remainder check."""
-    dg = max(g)
-    lg = g[dg]
-    exps = _exponents(_pdeg(a))
-    q: dict = {}
-    r = dict(a)
-    for dr in range(_pdeg(r), dg - 1, -1):
-        lr = r.get(dr)
-        if lr is not None:
-            factor, rest = divmod(lr, lg)
-            if rest:
-                return None
-            q[exps[dr - dg]] = factor
-            _psubmul(r, factor, dr - dg, g)
-    return None if r else q
+        num = {exps[e - low]: v for e, v in num.items()}
+    if c == 1:
+        return QScalar(num, {exps[top - low]: 1} if top > low else _ONE_P, _canonical=True)
+    return QScalar(*_normal(num, {exps[top - low]: c}), _canonical=True)
 
 
 def _div_poly(x: "QScalar", d: dict) -> "QScalar":
     """x / d for a nonzero polynomial d in Z[s].
 
-    When x is a Laurent value num / s^E and d divides num in Z[s], the
-    quotient is (num / d) / s^E: one exact division, checked by its
-    remainder, and one shift that cancels the power of s.  For a d prime
+    When x has a monomial denominator and d divides its numerator in Z[s],
+    the quotient is one exact division and ``_canonical``.  For a d prime
     to s, as (Q^m; Q^-1)_k is, the division is exact exactly when the
     quotient is Laurent.  Otherwise the general quotient runs, with its
     gcds.
     """
     if not x.num or d == _ONE_P:
         return x
-    e = _s_exponent(x.den)
-    if e is not None:
-        quo = _pexquo(x.num, d)
+    if len(x.den) == 1:
+        quo = _pquo(x.num, d)
         if quo is not None:
-            return _over_s_power(quo, e)
+            return _canonical(quo, x.den)
     return _mul_reduced(x.num, x.den, _ONE_P, d)
 
 
@@ -609,32 +585,9 @@ class TSeries:
     def constant(c: ScalarLike, order: int) -> "TSeries":
         return TSeries((_coerce(c),) + (ZERO,) * order, order)
 
-    @staticmethod
-    def geometric(c: ScalarLike, order: int) -> "TSeries":
-        """1 / (1 - c*t) truncated: coefficients 1, c, c^2, ..."""
-        c = _coerce(c)
-        coeffs = [ONE]
-        for _ in range(order):
-            coeffs.append(coeffs[-1] * c)
-        return TSeries(coeffs, order)
-
-    @staticmethod
-    def from_rational(num: Sequence[ScalarLike], den: Sequence[ScalarLike], order: int) -> "TSeries":
-        """Taylor expansion of num(t)/den(t); den must not vanish at t = 0."""
-        num_c = [_coerce(c) for c in num]
-        den_c = [_coerce(c) for c in den]
-        if not den_c or den_c[0].is_zero():
-            raise ValueError("denominator vanishes at t = 0: not a formal power series")
-        n = TSeries([num_c[i] if i < len(num_c) else ZERO for i in range(order + 1)], order)
-        d = TSeries([den_c[i] if i < len(den_c) else ZERO for i in range(order + 1)], order)
-        return n * d.inverse()
-
     def _check(self, other: "TSeries") -> None:
         if self.order != other.order:
             raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
-
-    def constant_term(self) -> QScalar:
-        return self.coeffs[0]
 
     def is_zero(self) -> bool:
         return all(c.is_zero() for c in self.coeffs)

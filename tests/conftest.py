@@ -216,6 +216,23 @@ def box_tilde_sector_chain(b: int, c: int, order: int) -> tuple:
     return tuple(_deformation_terms(NCPoly.monomial(0, b), NCPoly.monomial(c, 0), order))
 
 
+def geometric(c, order: int) -> TSeries:
+    """1 / (1 - c*t) truncated: coefficients 1, c, c^2, ..."""
+    coeffs = [ONE]
+    for _ in range(order):
+        coeffs.append(coeffs[-1] * c)
+    return TSeries(coeffs, order)
+
+
+def from_rational(num: list, den: list, order: int) -> TSeries:
+    """Taylor expansion of num(t)/den(t), through ``TSeries.inverse``; den must not vanish at t = 0."""
+    if not den or den[0].is_zero():
+        raise ValueError("denominator vanishes at t = 0: not a formal power series")
+    n = TSeries([num[i] if i < len(num) else ZERO for i in range(order + 1)], order)
+    d = TSeries([den[i] if i < len(den) else ZERO for i in range(order + 1)], order)
+    return n * d.inverse()
+
+
 @lru_cache(maxsize=None)
 def column_series(k: int, m: int, order: int) -> TSeries:
     """(q^2m; q^-2)_k / (t q^2m; q^-2)_k as qpochhammer times k geometric series.
@@ -226,7 +243,7 @@ def column_series(k: int, m: int, order: int) -> TSeries:
     out = TSeries.constant(qpochhammer(QScalar.q_power(2 * m), -2, k), order)
     for i in range(k):
         # 1/(1 - t q^(2(m-i))) as a geometric series
-        out = out * TSeries.geometric(QScalar.q_power(2 * (m - i)), order)
+        out = out * geometric(QScalar.q_power(2 * (m - i)), order)
     return out
 
 

@@ -82,6 +82,14 @@ CASES = [
         ["eval", "--s0", "5/3"],
         json.dumps({"terms": [[[[0, 1], "(1 - s^2)/(2 - 3*s^4)"], [[1, 0], "1/2*s"]]]}),
     ),
+    # monomial denominators with a non-unit coefficient (7 s^2 and 2 s^6)
+    # next to 1 - q, and the covariant solve at a fifth t-order
+    (
+        "star-T5-monomial-dens",
+        ["star", "(1/(1-q))*z*zs + 3/7*z^2*zs/q", "1/2*zs^2*z/q^3 + zs", "--order", "5"],
+        None,
+    ),
+    ("verify-berezin-T5", ["verify", "berezin", "--t-order", "5"], None),
 ]
 
 

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdisc import NCPoly, QScalar, TSeries, parse_scalar, star
-from qdisc.scalar import _div_poly, _mul_reduced, _padd, _pexquo, _pgcd, _pmul
+from qdisc.scalar import _canonical, _div_poly, _mul_reduced, _padd, _pgcd, _pmul, _pquo, _reduce
 
 SYM_S = sympy.Symbol("s")
 
@@ -188,6 +188,27 @@ def test_monomials_with_a_non_unit_lead_are_not_powers_of_s():
     assert ((seventh + s2).num, (seventh + s2).den) == ({0: 7, 2: 1}, {2: 7})
 
 
+# -- the canonical form over a monomial denominator -------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    _poly(False, max_terms=5),
+    st.integers(min_value=0, max_value=6),
+    st.integers(min_value=1, max_value=9),
+    st.booleans(),
+    st.integers(min_value=1, max_value=9),
+    st.integers(min_value=0, max_value=12),
+)
+def test_canonical_over_a_monomial_matches_the_gcd(num, low, content, share, c, E):
+    # numerators that s^low divides and whose content may share a factor with c; {} is zero
+    factor = content * (c if share else 1)
+    num = {e + low: v * factor for e, v in num.items()}
+    got = _canonical(num, {E: c})
+    assert (got.num, got.den) == _reduce(num, {E: c})
+    assert_canonical(got)
+
+
 # -- exact division by a polynomial -------------------------------------------------------
 
 # (q^4; q^-2)_1, (q^6; q^-2)_2 and divisors that are not of that shape
@@ -212,10 +233,10 @@ def test_div_poly_matches_the_general_quotient(x, d, multiple):
 
 def test_exact_quotient_checks_its_remainder():
     d = {0: 1, 4: -1}
-    assert _pexquo(_pmul({0: 3, 1: -1, 9: 2}, d), d) == {0: 3, 1: -1, 9: 2}
-    assert _pexquo({0: 1}, d) is None
-    assert _pexquo(_padd(_pmul({5: 1}, d), {0: 1}), d) is None  # a remainder below deg d
-    assert _pexquo({4: 3}, {4: 2}) is None  # the leading coefficients do not divide
+    assert _pquo(_pmul({0: 3, 1: -1, 9: 2}, d), d) == {0: 3, 1: -1, 9: 2}
+    assert _pquo({0: 1}, d) is None
+    assert _pquo(_padd(_pmul({5: 1}, d), {0: 1}), d) is None  # a remainder below deg d
+    assert _pquo({4: 3}, {4: 2}) is None  # the leading coefficients do not divide
 
 
 # -- the unit series ----------------------------------------------------------------------
