@@ -337,7 +337,9 @@ def _image(series, M: int, order: int) -> FockOp:
         top = max(min(tden) for _, tden in tables)
         rows: list = [{} for _ in range(order + 1)]
         for (n, _, _), num, (table, tden) in zip(terms, nums, tables):
-            num = _pmul(num, {top - min(tden): 1})
+            shift = top - min(tden)
+            if shift:
+                num = {e + shift: c for e, c in num.items()}
             for row, trow in zip(rows[n:], table):
                 for p, tnum in trow:
                     acc = row.setdefault(p, {})
@@ -354,7 +356,8 @@ def _image(series, M: int, order: int) -> FockOp:
                 if acc:
                     kept.append((p, acc))
             num_rows.append(kept)
-        den = _pmul(den, {top: 1})
+        if top:
+            den = {e + top: c for e, c in den.items()}
         for m in range(min(k for _, k, _ in terms), last + 1):
             entries[(m + d, m)] = _read(num_rows, den, m, order)
     return FockOp(M, order, entries, max(diagonals, default=0))

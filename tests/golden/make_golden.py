@@ -90,6 +90,17 @@ CASES = [
         None,
     ),
     ("verify-berezin-T5", ["verify", "berezin", "--t-order", "5"], None),
+    # every law's report text: the four suites the cases above leave out,
+    # and all six at small arguments with the numeric spot-check
+    ("verify-laws-seed0", ["verify", "rewrite", "calculus", "star", "uq", "--seed", "0"], None),
+    (
+        "verify-all-small",
+        [
+            "verify", "all", "--seed", "3", "--t-order", "2", "--max-degree", "1", "--cutoff", "10",
+            "--window", "4", "--eval-s0", "7/10", "--assoc-samples", "300",
+        ],
+        None,
+    ),
 ]
 
 

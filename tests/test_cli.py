@@ -238,6 +238,39 @@ def test_verify_failure_exits_one(monkeypatch):
     assert payload["passed"] is False
 
 
+def test_verify_reports_planted_faults(monkeypatch):
+    import qdisc.verify as verify_mod
+    from qdisc import NCPoly, QScalar, uqsl2
+
+    box, equivariant, relation = verify_mod.box, uqsl2.check_box_equivariance, uqsl2.check_relation_on
+    monkeypatch.setattr(verify_mod, "box", lambda f: box(f).scale(QScalar.from_int(2)))
+    monkeypatch.setattr(uqsl2, "check_box_equivariance", lambda g, f: g != uqsl2.F and equivariant(g, f))
+    monkeypatch.setattr(
+        uqsl2, "check_relation_on", lambda wa, wb, f: f != NCPoly.monomial(2, 2) and relation(wa, wb, f)
+    )
+    code, payload = run_cli("verify", "calculus", "uq")
+    assert code == 1
+    assert payload["passed"] is False
+    failed = [
+        (suite, rec["law"], rec["cases"], rec["failure_count"], rec["failures"])
+        for suite, recs in payload["suites"].items()
+        for rec in recs
+        if not rec["passed"]
+    ]
+    assert failed == [
+        ("calculus", "box-two-forms", 25, 16, ["(1, 1)", "(1, 2)", "(1, 3)", "(1, 4)", "(2, 1)"]),
+        ("calculus", "box-factorization", 16, 9, ["(1, 1)", "(1, 2)", "(1, 3)", "(2, 1)", "(2, 2)"]),
+    ] + [("uq", "uq-relation", 15, 1, ["z^2*zs^2"])] * 7 + [
+        (
+            "uq",
+            "uq-box-equivariance",
+            60,
+            15,
+            [f"('F', NCPoly({f}))" for f in ("1", "zs", "zs^2", "zs^3", "zs^4")],
+        ),
+    ]
+
+
 @pytest.mark.parametrize("exc", [MemoryError(), RecursionError("maximum recursion depth exceeded")])
 def test_resource_errors_are_structured(monkeypatch, exc):
     import qdisc.cli as cli_mod
