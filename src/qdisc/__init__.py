@@ -10,6 +10,7 @@ checked by exact equality; see the ``verify`` suites and the CLI.
 """
 
 import importlib
+import sys
 
 from .scalar import ONE, Q, QScalar, S, TSeries, ZERO, eval_numeric, qpochhammer
 from .qpoly import (
@@ -75,6 +76,33 @@ def __getattr__(name: str):
     value = getattr(importlib.import_module(f".{module}", __name__), name)
     globals()[name] = value
     return value
+
+
+def clear_caches() -> None:
+    """Empty every memo of the package, so that a long-lived process can give its memory back.
+
+    The normal-ordering blocks (both orientations), the p_k chain and its
+    memo, the sector chains and their memo, and the memos of the operator
+    oracle and the U_q(sl2) action when those modules are loaded.  Every
+    result after a clear equals the one before it; only the time to
+    recompute it changes.
+    """
+    from .qpoly import _normal_block
+    from .star import _SECTORS, _X_IMAGES, _ck_mono
+
+    _normal_block.cache_clear()
+    pk.cache_clear()
+    del _X_IMAGES[1:]  # p_0 = 1 starts the chain
+    _ck_mono.cache_clear()
+    _SECTORS.clear()
+    uq = sys.modules.get(f"{__name__}.uqsl2")
+    if uq is not None:
+        uq._act_mono.cache_clear()
+        uq._zs_action.cache_clear()
+    fock = sys.modules.get(f"{__name__}.fockrep")
+    if fock is not None:
+        for memo in (fock.i_op, fock._poch, fock._column_poly, fock._column_value, fock._column_inverse):
+            memo.cache_clear()
 
 
 __version__ = "0.1.0"
@@ -143,6 +171,7 @@ __all__ = [
     "parse_scalar",
     "ParseError",
     "EvalError",
+    "clear_caches",
     "VERIFY_SUITES",
     "__version__",
 ]

@@ -26,13 +26,20 @@ to the tensor square, and the multiplication map ``m0``.
 
 from __future__ import annotations
 
-from .qpoly import NCPoly, TensorPoly, nc_mul
-from .scalar import ONE, QScalar
+from .qpoly import NCPoly, TensorPoly, _normal_block
+from .scalar import _ONE_P, ONE, QScalar, _exponents
 
 
-def _qnum(n: int, m: int) -> QScalar:
-    """q^-2m [n]_{q^2}, equal to [n]_{q^-2} for m = n - 1 (q^2 is s^4)."""
-    return QScalar({4 * i: 1 for i in range(n)}, {4 * m: 1})
+def _qnum(n: int, m: int, n2: int = 1) -> QScalar:
+    """q^-2m [n]_{q^2} [n2]_{q^2} for n, n2 >= 1; q^-2m [n]_{q^2} is [n]_{q^-2} for m = n - 1.
+
+    With Q = q^2 = s^4 the coefficient of Q^e in [n]_Q [n2]_Q counts the
+    a < n, b < n2 with a + b = e: min(e + 1, n, n2, n + n2 - 1 - e).  The
+    constant term is 1, so over s^4m the pair is already canonical.
+    """
+    exps = _exponents(4 * max(n + n2 - 2, m))
+    num = {exps[4 * e]: min(e + 1, n, n2, n + n2 - 1 - e) for e in range(n + n2 - 1)}
+    return QScalar(num, {exps[4 * m]: 1} if m else _ONE_P, _canonical=True)
 
 
 def d_partial(f: NCPoly, side: str, variable: str) -> NCPoly:
@@ -57,23 +64,43 @@ def d_partial(f: NCPoly, side: str, variable: str) -> NCPoly:
     return NCPoly(out)
 
 
-# (1 - z*zs)^2, the weight that makes box second order
-_W = NCPoly.one() - NCPoly.monomial(1, 1)
-_W2 = nc_mul(_W, _W)
-
 # weights w_i of box_tilde's middle factor sum_i w_i zs^i (x) z^i,
 # q^-2 (1(x)1 - (1+q^-2) zs(x)z + q^-2 zs^2(x)z^2)
 _QM2 = QScalar.q_power(-2)
 _MID_W = (_QM2, -(ONE + _QM2) * _QM2, _QM2 * _QM2)
 
+# box's stencil weights on z^j zs^k and z^(j+1) zs^(k+1), with Q = q^2
+_Q = QScalar.q_power(2)
+_MINUS_ONE_PLUS_Q = -(ONE + _Q)
+
 
 def box(f: NCPoly) -> NCPoly:
     """The invariant second-order operator (1 - z zs)^2 d_zs d_z (left form).
 
-    It equals the right form q^2 (d^r_zs d^r_z f)(1 - z zs)^2; that is the
-    ``box-two-forms`` verify law, not a second computation on every call.
+    With Q = q^2 the left derivatives give
+    d^l_zs d^l_z z^j zs^k = Q^(2-2j) [j]_Q [k]_Q z^(j-1) zs^(k-1), and as
+    zs z^n = Q^n z^n zs + (1 - Q^n) z^(n-1), left multiplication by
+    1 - z zs sends z^n zs^m to Q^n (z^n zs^m - z^(n+1) zs^(m+1)).  Twice,
+    from n = j - 1, that is a three-term stencil on the diagonal of (j, k):
+
+        box(z^j zs^k) = [j]_Q [k]_Q (z^(j-1) zs^(k-1) - (1 + Q) z^j zs^k + Q z^(j+1) zs^(k+1)),
+
+    and box(z^j zs^k) = 0 when j = 0 or k = 0.  It equals the right form
+    q^2 (d^r_zs d^r_z f)(1 - z zs)^2; that is the ``box-two-forms`` verify
+    law, not a second computation on every call.
     """
-    return nc_mul(_W2, d_partial(d_partial(f, "left", "z"), "left", "zstar"))
+    out: dict = {}
+    for (j, k), c in f.terms.items():
+        if j == 0 or k == 0:
+            continue
+        cjk = c * _qnum(j, 0, k)
+        for key, v in (
+            ((j - 1, k - 1), cjk),
+            ((j, k), cjk * _MINUS_ONE_PLUS_Q),
+            ((j + 1, k + 1), cjk * _Q),
+        ):
+            out[key] = out[key] + v if key in out else v
+    return NCPoly({key: v for key, v in out.items() if not v.is_zero()})
 
 
 def box_tilde(F: TensorPoly) -> TensorPoly:
@@ -91,7 +118,7 @@ def box_tilde(F: TensorPoly) -> TensorPoly:
     for (a, b, c, d), coeff in F.terms.items():
         if b == 0 or c == 0:
             continue
-        cb = coeff * _qnum(b, b - 1) * _qnum(c, c - 1)
+        cb = coeff * _qnum(b, b + c - 2, c)
         for i, w in enumerate(_MID_W):
             key = (a, b - 1 + i, c - 1 + i, d)
             out[key] = out[key] + cb * w if key in out else cb * w
@@ -99,9 +126,20 @@ def box_tilde(F: TensorPoly) -> TensorPoly:
 
 
 def m0(F: TensorPoly) -> NCPoly:
-    """Multiply the two tensor legs back together."""
-    out = NCPoly.zero()
+    """Multiply the two tensor legs back together.
+
+    z^j1 zs^k1 * z^j2 zs^k2 = z^j1 (zs^k1 z^j2) zs^k2, so each term reads the
+    normal form of its middle block zs^k1 z^j2 off ``_normal_block``.
+    """
+    out: dict = {}
     for (j1, k1, j2, k2), c in F.terms.items():
-        prod = nc_mul(NCPoly.monomial(j1, k1), NCPoly.monomial(j2, k2))
-        out = out + prod.scale(c)
-    return out
+        for (j, k), w in _normal_block(k1, j2):
+            key = (j1 + j, k + k2)
+            v = w * c
+            prev = out.get(key)
+            v = v if prev is None else prev + v
+            if v.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = v
+    return NCPoly(out)

@@ -7,7 +7,8 @@ form of each misordered block zs^b z^c, and that has a closed form: with
 Q = q^2 the generators are a rescaled q-oscillator, and q-boson normal
 ordering (Katriel and Kibler, J. Phys. A 25 (1992) 2683) writes the block
 as a sum over r <= min(b, c) of Q^((b-r)(c-r)) [b r]_Q [c r]_Q (Q; Q)_r
-z^(c-r) zs^(b-r).  Each block asked for is memoized; no swap-by-swap
+z^(c-r) zs^(b-r).  Each block asked for is memoized, and the blocks
+(b, c) and (c, b) share their coefficient objects; no swap-by-swap
 rewriting takes place.
 """
 
@@ -179,7 +180,13 @@ def _normal_block(b: int, c: int) -> tuple:
     built from core_0 = 1 as core_(r-1) (1 - Q^(b-r+1)) (1 - Q^(c-r+1)) / (1 - Q^r).
     The division is exact, so it is the running sum q_e = p_e + q_(e-r) over
     the coefficient list in Q, and its top r entries come out zero.
+
+    The coefficient is symmetric in (b, c), so for b > c the block is the
+    (c, b) block with each key (j, k) read as (k, j), holding the same
+    ``QScalar`` objects.
     """
+    if b > c:
+        return tuple(((k, j), w) for (j, k), w in _normal_block(c, b))
     core = [1]
     out = []
     for r in range(min(b, c) + 1):

@@ -54,14 +54,15 @@ def _pneg(a: dict) -> dict:
 
 # One shared int object per exponent: ints above 256 are not cached by the
 # interpreter, and memoized products would otherwise keep a separate
-# exponent object in every dict entry.
-_EXPONENTS: list = []
+# exponent object in every dict entry.  A dict {e: e}, so that a negative
+# or too large exponent raises KeyError rather than wrapping round.
+_EXPONENTS: dict = {}
 
 
-def _exponents(top: int) -> list:
-    """The shared exponent objects, covering 0..top."""
+def _exponents(top: int) -> dict:
+    """The shared exponent objects, keyed by themselves, covering 0..top."""
     if top >= len(_EXPONENTS):
-        _EXPONENTS.extend(range(len(_EXPONENTS), top + 1))
+        _EXPONENTS.update((e, e) for e in range(len(_EXPONENTS), top + 1))
     return _EXPONENTS
 
 
@@ -70,10 +71,13 @@ def _pmul(a: dict, b: dict) -> dict:
         return {}
     if len(a) < len(b):
         a, b = b, a
-    exps = _exponents(max(a) + max(b))
     if len(b) == 1:
         ((eb, cb),) = b.items()
+        if not eb:  # a constant keeps a's exponent objects
+            return {ea: ca * cb for ea, ca in a.items()}
+        exps = _exponents(max(a) + eb)
         return {exps[ea + eb]: ca * cb for ea, ca in a.items()}
+    exps = _exponents(max(a) + max(b))
     out: dict = {}
     get = out.get
     for eb, cb in b.items():
@@ -216,24 +220,29 @@ def _frac_str(c: int | Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
+# "s", "s^2", ... keyed by exponent >= 1, as _pstr writes them
+_S_TEXT: dict = {1: "s"}
+
+
 def _pstr(a: dict) -> str:
     """Canonical text: terms by ascending power of s, sign-aware joins."""
     if not a:
         return "0"
+    es = sorted(a)
+    if es[-1] > len(_S_TEXT):
+        _S_TEXT.update((e, f"s^{e}") for e in range(len(_S_TEXT) + 1, es[-1] + 1))
     parts = []
-    for e in sorted(a):
+    for e in es:
         c = a[e]
         neg = c < 0
         mag = -c if neg else c
-        if e == 0:
-            body = _frac_str(mag)
-        else:
-            var = "s" if e == 1 else f"s^{e}"
-            body = var if mag == 1 else f"{_frac_str(mag)}*{var}"
-        if not parts:
-            parts.append(("-" if neg else "") + body)
-        else:
+        body = str(mag) if type(mag) is int else _frac_str(mag)
+        if e:
+            body = _S_TEXT[e] if mag == 1 else f"{body}*{_S_TEXT[e]}"
+        if parts:
             parts.append(("- " if neg else "+ ") + body)
+        else:
+            parts.append("-" + body if neg else body)
     return " ".join(parts)
 
 

@@ -180,10 +180,17 @@ def _act_word_letters(letters: tuple, f: NCPoly) -> NCPoly:
 def act(g: str, f: NCPoly) -> NCPoly:
     """Action of a single generator on a polynomial, extended linearly."""
     _check_gen(g)
-    out = NCPoly.zero()
+    out: dict = {}
     for (j, k), c in f.terms.items():
-        out = out + _act_mono(g, j, k).scale(c)
-    return out
+        for key, w in _act_mono(g, j, k).terms.items():
+            v = w * c
+            prev = out.get(key)
+            v = v if prev is None else prev + v
+            if v.is_zero():
+                out.pop(key, None)
+            else:
+                out[key] = v
+    return NCPoly(out)
 
 
 def act_word(words: WordCombo, f: NCPoly) -> NCPoly:

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from functools import lru_cache
 
 import pytest
+from hypothesis import strategies as st
 
 from qdisc import (
     FockOp,
@@ -148,6 +150,64 @@ def box_right_form(f: NCPoly) -> NCPoly:
     w = NCPoly.one() - NCPoly.monomial(1, 1)
     inner = d_partial(d_partial(f, "right", "z"), "right", "zstar")
     return nc_mul(inner, nc_mul(w, w)).scale(Q2)
+
+
+def box_product_form(f: NCPoly) -> NCPoly:
+    """(1 - z zs)^2 * (d^l_zs d^l_z f), the left form of box as two algebra products.
+
+    Knows no stencil: the oracle for the three-term form in ``box``.
+    """
+    w = NCPoly.one() - NCPoly.monomial(1, 1)
+    return nc_mul(nc_mul(w, w), d_partial(d_partial(f, "left", "z"), "left", "zstar"))
+
+
+def m0_product_form(F: TensorPoly) -> NCPoly:
+    """Sum over the terms of F of c * nc_mul(z^j1 zs^k1, z^j2 zs^k2), through ``NCPoly.__add__``.
+
+    The oracle for ``m0``, which reads each middle block straight off the memo.
+    """
+    out = NCPoly.zero()
+    for (j1, k1, j2, k2), c in F.terms.items():
+        out = out + nc_mul(NCPoly.monomial(j1, k1), NCPoly.monomial(j2, k2)).scale(c)
+    return out
+
+
+def act_sum_form(g: str, f: NCPoly) -> NCPoly:
+    """Sum over the terms of f of c * (g acting on z^j zs^k), through ``NCPoly.__add__``.
+
+    The oracle for the one-dict accumulation in ``uqsl2.act``.
+    """
+    from qdisc.uqsl2 import _act_mono
+
+    out = NCPoly.zero()
+    for (j, k), c in f.terms.items():
+        out = out + _act_mono(g, j, k).scale(c)
+    return out
+
+
+def pstr_reference(a: dict) -> str:
+    """The canonical text of an {exponent: int or Fraction} dict, spelled out term by term.
+
+    The oracle for ``scalar._pstr`` and its cached powers of s.
+    """
+    if not a:
+        return "0"
+    parts = []
+    for e in sorted(a):
+        c = a[e]
+        neg = c < 0
+        mag = -c if neg else c
+        mag_text = str(mag.numerator) if mag.denominator == 1 else f"{mag.numerator}/{mag.denominator}"
+        if e == 0:
+            body = mag_text
+        else:
+            var = "s" if e == 1 else f"s^{e}"
+            body = var if mag == 1 else f"{mag_text}*{var}"
+        if not parts:
+            parts.append(("-" if neg else "") + body)
+        else:
+            parts.append(("- " if neg else "+ ") + body)
+    return " ".join(parts)
 
 
 @lru_cache(maxsize=None)
@@ -338,6 +398,37 @@ def naive_q_map(psi, M: int) -> FockOp:
         op = naive_i_op_poly(f, M, order)
         out = out + FockOp(M, order, {key: v.tshift(n) for key, v in op.entries.items()}, op.raise_bound)
     return out
+
+
+# Laurent values next to values whose denominator is prime to s, and user rationals
+MIXED_COEFFS = (
+    ONE,
+    QScalar.q_power(-1),
+    QScalar.s_power(1),
+    ONE / (ONE - QScalar.q_power(1)),
+    QScalar.from_fraction(Fraction(1, 2)),
+    QScalar.from_int(2) / (QScalar.from_int(3) - Q2),
+)
+
+
+def mixed_coefficients():
+    """Sums of one or two small multiples of ``MIXED_COEFFS``; zero is possible."""
+    term = st.builds(lambda n, c: c * n, st.integers(-3, 3).filter(bool), st.sampled_from(MIXED_COEFFS))
+    return st.lists(term, min_size=1, max_size=2).map(lambda cs: sum(cs[1:], cs[0]))
+
+
+def mixed_ncpolys(max_exp: int = 5, max_terms: int = 5):
+    """Polynomials whose coefficients mix Laurent and non-Laurent values."""
+    keys = st.tuples(st.integers(0, max_exp), st.integers(0, max_exp))
+    raw = st.dictionaries(keys, mixed_coefficients(), max_size=max_terms)
+    return raw.map(lambda d: NCPoly({key: c for key, c in d.items() if not c.is_zero()}))
+
+
+def mixed_tensors(max_exp: int = 4, max_terms: int = 5):
+    """Tensors whose coefficients mix Laurent and non-Laurent values."""
+    keys = st.tuples(*[st.integers(0, max_exp)] * 4)
+    raw = st.dictionaries(keys, mixed_coefficients(), max_size=max_terms)
+    return raw.map(lambda d: TensorPoly({key: c for key, c in d.items() if not c.is_zero()}))
 
 
 @pytest.fixture

@@ -394,6 +394,19 @@ def test_star_command_leaves_oracle_and_symmetry_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_clear_caches_leaves_oracle_and_symmetry_unloaded():
+    src = os.path.dirname(os.path.dirname(qdisc.__file__))
+    code = (
+        "import sys, qdisc\n"
+        "qdisc.star(qdisc.Z, qdisc.ZS, 2)\n"
+        "qdisc.clear_caches()\n"
+        "print(sorted(m for m in ('qdisc.fockrep', 'qdisc.uqsl2') if m in sys.modules))"
+    )
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
+
+
 def test_every_public_name_resolves():
     import qdisc.fockrep
     import qdisc.uqsl2

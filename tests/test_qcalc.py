@@ -4,6 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
 
 from qdisc import (
     NCPoly,
@@ -17,10 +18,18 @@ from qdisc import (
     d_partial,
     m0,
     nc_mul,
+    parse_ncpoly,
     tensor_mul,
 )
 
-from conftest import box_right_form, naive_d_partial
+from conftest import (
+    box_product_form,
+    box_right_form,
+    m0_product_form,
+    mixed_ncpolys,
+    mixed_tensors,
+    naive_d_partial,
+)
 
 Q2 = QScalar.q_power(2)
 QM2 = QScalar.q_power(-2)
@@ -134,6 +143,27 @@ def test_box_of_relation_product():
     assert box(f) == box_right_form(f)
 
 
+def test_box_stencil_matches_product_form_on_monomials():
+    for j in range(13):
+        for k in range(13):
+            f = NCPoly.monomial(j, k)
+            assert box(f) == box_product_form(f), (j, k)
+
+
+@pytest.mark.parametrize(
+    "text", ["1/(1-q)*z*zs + 3*z^2*zs - 1/q*z*zs^3", "s*z*zs + 1/2*z^2*zs^2", "z*zs - (1+q)/q^2*z^2*zs^2"]
+)
+def test_box_stencil_matches_product_form_on_non_laurent_coefficients(text):
+    f = parse_ncpoly(text)
+    assert box(f) == box_product_form(f)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_ncpolys())
+def test_box_stencil_matches_product_form_on_mixed_coefficients(f):
+    assert box(f) == box_product_form(f)
+
+
 def test_box_two_forms_agree_on_monomials():
     for j in range(5):
         for k in range(5):
@@ -232,3 +262,9 @@ def test_m0_unit_leg():
 
 def test_m0_ordered_input():
     assert m0(TensorPoly.from_polys(Z, ZS)) == NCPoly.monomial(1, 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(mixed_tensors())
+def test_m0_matches_product_form(F):
+    assert m0(F) == m0_product_form(F)

@@ -61,6 +61,18 @@ def test_cold_blocks_match_naive_rewriter_and_memoize_one_entry():
     assert qpoly._normal_block.cache_info().currsize == 1
 
 
+def test_swapped_blocks_share_coefficient_objects():
+    for b in range(9):
+        for c in range(b, 10):
+            low, high = qpoly._normal_block(b, c), qpoly._normal_block(c, b)
+            assert [(k, j) for (j, k), _ in low] == [key for key, _ in high], (b, c)
+            assert all(w is v for (_, w), (_, v) in zip(low, high)), (b, c)
+    # a block with b > c memoizes itself and the (c, b) block it reads
+    qpoly._normal_block.cache_clear()
+    qpoly._normal_block(7, 3)
+    assert qpoly._normal_block.cache_info().currsize == 2
+
+
 def _assert_block_matches_recursion(b, c):
     got = qpoly._normal_block(b, c)
     assert got == recursive_normal_block(b, c), (b, c)

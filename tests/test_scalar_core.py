@@ -10,12 +10,26 @@ over Q, a positive leading coefficient of ``den`` and integer content 1.
 from fractions import Fraction
 from math import gcd, lcm
 
+import pytest
 import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdisc import NCPoly, QScalar, TSeries, parse_scalar, star
-from qdisc.scalar import _canonical, _div_poly, _mul_reduced, _padd, _pgcd, _pmul, _pquo, _reduce
+from qdisc.scalar import (
+    _canonical,
+    _div_poly,
+    _exponents,
+    _mul_reduced,
+    _padd,
+    _pgcd,
+    _pmul,
+    _pquo,
+    _pstr,
+    _reduce,
+)
+
+from conftest import pstr_reference
 
 SYM_S = sympy.Symbol("s")
 
@@ -424,3 +438,30 @@ def test_star_coefficients_are_ints():
             assert_int_coefficients(c)
             seen += 1
     assert seen > 0
+
+
+# -- canonical text and the shared exponents -----------------------------------------
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.dictionaries(st.integers(min_value=0, max_value=60), _coeffs(fractions=True), max_size=6))
+def test_pstr_matches_reference(raw):
+    p = {e: c for e, c in raw.items() if c}
+    assert _pstr(p) == pstr_reference(p)
+
+
+@settings(max_examples=200, deadline=None)
+@given(qscalars())
+def test_pstr_matches_reference_on_monic_forms(x):
+    # monic() divides by a non-unit leading coefficient, so Fractions reach the text
+    for p in x.monic():
+        assert _pstr(p) == pstr_reference(p)
+
+
+def test_exponent_table_raises_on_a_bad_index():
+    exps = _exponents(8)
+    assert exps[8] == 8
+    with pytest.raises(KeyError):
+        exps[-1]
+    with pytest.raises(KeyError):
+        exps[len(exps)]

@@ -5,6 +5,8 @@ from fractions import Fraction
 import pytest
 
 from qdisc import (
+    E,
+    F,
     NCPoly,
     ONE,
     QScalar,
@@ -12,16 +14,22 @@ from qdisc import (
     TensorPoly,
     Z,
     ZS,
+    act,
+    berezin,
     box_tilde,
     ck,
+    clear_caches,
+    fockrep,
     m0,
     m_series,
     nc_mul,
     pk,
+    q_map,
+    qpoly,
     series_involution,
     star,
+    uqsl2,
 )
-
 from qdisc.star import _SECTORS, _X_IMAGES, _ck_mono
 
 from conftest import berezin_horner, box_tilde_sector_chain, ck_horner, pk_sum_formula
@@ -263,3 +271,33 @@ def test_involution_antihomomorphism(rng, rand_ncpoly):
         lhs = series_involution(m_series(p1, p2))
         rhs = m_series(series_involution(p2), series_involution(p1))
         assert lhs == rhs
+
+
+def _memo_results() -> tuple:
+    """Results that fill every memo ``clear_caches`` empties."""
+    f1 = NCPoly.monomial(2, 1) + NCPoly.monomial(0, 3, QScalar.q_power(-1))
+    f2 = NCPoly.monomial(3, 2, Fraction(1, 2))
+    psi = star(f1, f2, 3)
+    return psi, [pk(k) for k in range(6)], act(E, f1), act(F, f2), q_map(psi, 8), berezin(1, 2, 4, 8, 2)
+
+
+def test_clear_caches_empties_every_memo_and_keeps_results():
+    memos = (
+        qpoly._normal_block,
+        pk,
+        _ck_mono,
+        uqsl2._act_mono,
+        uqsl2._zs_action,
+        fockrep.i_op,
+        fockrep._poch,
+        fockrep._column_poly,
+        fockrep._column_value,
+        fockrep._column_inverse,
+    )
+    before = _memo_results()
+    assert all(memo.cache_info().currsize for memo in memos)
+    assert _SECTORS and len(_X_IMAGES) > 1
+    clear_caches()
+    assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
+    assert not _SECTORS and _X_IMAGES == [NCPoly.one()]
+    assert _memo_results() == before

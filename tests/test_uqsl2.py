@@ -1,6 +1,8 @@
 """Tests for the quantized symmetry action and its compatibility laws."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from qdisc import (
     E,
@@ -32,6 +34,8 @@ from qdisc.uqsl2 import (
     defining_relations,
     star_of_antipode,
 )
+
+from conftest import act_sum_form, mixed_ncpolys
 
 Q2 = QScalar.q_power(2)
 S1 = QScalar.s_power(1)
@@ -246,3 +250,9 @@ def test_coproduct_respects_relations():
                     return out
 
                 assert image(wa) == image(wb), (name, f1, f2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(GENERATORS), mixed_ncpolys(max_exp=3))
+def test_act_matches_sum_form(g, f):
+    assert act(g, f) == act_sum_form(g, f)
