@@ -18,7 +18,7 @@ from fractions import Fraction
 from . import VERIFY_SUITES
 from .expr import EvalError, ParseError, parse_ncpoly, parse_scalar
 from .qcalc import box, d_partial
-from .qpoly import NCPoly, WindowedSeries
+from .qpoly import NCPoly, WindowedSeries, _mono_key
 from .scalar import QScalar, eval_numeric
 from .star import StarSeries, ck, pk, star
 
@@ -32,7 +32,7 @@ DEFAULT_WINDOW = 6
 
 
 def ncpoly_json(f: NCPoly) -> list:
-    keys = sorted(f.terms, key=lambda jk: (jk[0] + jk[1], jk[0]))
+    keys = sorted(f.terms, key=_mono_key)
     return [[[j, k], str(f.terms[(j, k)])] for j, k in keys]
 
 
@@ -41,7 +41,7 @@ def star_series_json(psi: StarSeries) -> dict:
 
 
 def windowed_json(w: WindowedSeries) -> dict:
-    keys = sorted(w.entries, key=lambda jk: (jk[0] + jk[1], jk[0]))
+    keys = sorted(w.entries, key=_mono_key)
     return {
         "window": w.window,
         "t_order": w.order,
@@ -85,7 +85,7 @@ def latex_ncpoly(f: NCPoly) -> str:
     if f.is_zero():
         return "0"
     parts = []
-    for j, k in sorted(f.terms, key=lambda jk: (jk[0] + jk[1], jk[0])):
+    for j, k in sorted(f.terms, key=_mono_key):
         c = f.terms[(j, k)]
         mono = ""
         if j:
@@ -237,9 +237,8 @@ def _cmd_verify(args) -> int:
 def _cmd_eval(args) -> int:
     if args.expr is not None and args.expr != "-":
         f = parse_ncpoly(args.expr)
-        terms = [[[j, k], str(eval_numeric(c, args.s0))] for (j, k), c in sorted(
-            f.terms.items(), key=lambda item: (item[0][0] + item[0][1], item[0][0])
-        )]
+        keys = sorted(f.terms, key=_mono_key)
+        terms = [[[j, k], str(eval_numeric(f.terms[(j, k)], args.s0))] for j, k in keys]
         _emit({"schema": 1, "s0": str(args.s0), "terms": terms})
         return 0
     payload = json.load(sys.stdin)

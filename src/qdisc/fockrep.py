@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from functools import lru_cache, reduce
 
-from .qpoly import NCPoly, WindowedSeries
+from .qpoly import NCPoly, WindowedSeries, _add_terms
 from .scalar import _ONE_P, ZERO, QScalar, TSeries, _canonical, _div_poly, _exponents, _padd, _pmul
 from .star import StarSeries, star
 
@@ -103,14 +103,7 @@ class FockOp:
         if not isinstance(other, FockOp):
             return NotImplemented
         self._check(other)
-        out = dict(self.entries)
-        for key, ts in other.entries.items():
-            cur = out.get(key)
-            ts2 = ts if cur is None else cur + ts
-            if ts2.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = ts2
+        out = _add_terms(other.entries.items(), dict(self.entries))
         return FockOp(self.M, self.order, out, max(self.raise_bound, other.raise_bound))
 
     def __sub__(self, other: "FockOp") -> "FockOp":
@@ -139,17 +132,11 @@ class FockOp:
         by_col: dict = {}
         for (r, c), ts in self.entries.items():
             by_col.setdefault(c, []).append((r, ts))
-        out: dict = {}
-        for (mid, col), ts_b in other.entries.items():
-            for row, ts_a in by_col.get(mid, ()):
-                key = (row, col)
-                v = ts_a * ts_b
-                prev = out.get(key)
-                v = v if prev is None else prev + v
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+        out = _add_terms((
+            ((row, col), ts_a * ts_b)
+            for (mid, col), ts_b in other.entries.items()
+            for row, ts_a in by_col.get(mid, ())
+        ), {})
         return FockOp(self.M, self.order, out, self.raise_bound + other.raise_bound)
 
     def equal_on_valid(self, other: "FockOp") -> bool:

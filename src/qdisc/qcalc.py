@@ -26,7 +26,7 @@ to the tensor square, and the multiplication map ``m0``.
 
 from __future__ import annotations
 
-from .qpoly import NCPoly, TensorPoly, _normal_block
+from .qpoly import NCPoly, TensorPoly, _add_terms, _normal_block
 from .scalar import _ONE_P, ONE, QScalar, _exponents
 
 
@@ -89,18 +89,12 @@ def box(f: NCPoly) -> NCPoly:
     q^2 (d^r_zs d^r_z f)(1 - z zs)^2; that is the ``box-two-forms`` verify
     law, not a second computation on every call.
     """
-    out: dict = {}
-    for (j, k), c in f.terms.items():
-        if j == 0 or k == 0:
-            continue
-        cjk = c * _qnum(j, 0, k)
-        for key, v in (
-            ((j - 1, k - 1), cjk),
-            ((j, k), cjk * _MINUS_ONE_PLUS_Q),
-            ((j + 1, k + 1), cjk * _Q),
-        ):
-            out[key] = out[key] + v if key in out else v
-    return NCPoly({key: v for key, v in out.items() if not v.is_zero()})
+    return NCPoly(_add_terms((
+        pair
+        for (j, k), c in f.terms.items() if j and k
+        for cjk in (c * _qnum(j, 0, k),)
+        for pair in (((j - 1, k - 1), cjk), ((j, k), cjk * _MINUS_ONE_PLUS_Q), ((j + 1, k + 1), cjk * _Q))
+    ), {}))
 
 
 def box_tilde(F: TensorPoly) -> TensorPoly:
@@ -114,15 +108,12 @@ def box_tilde(F: TensorPoly) -> TensorPoly:
         box_tilde(z^a zs^b (x) z^c zs^d)
             = [b]_{q^-2} [c]_{q^-2} sum_{i=0..2} w_i z^a zs^(b-1+i) (x) z^(c-1+i) zs^d.
     """
-    out: dict = {}
-    for (a, b, c, d), coeff in F.terms.items():
-        if b == 0 or c == 0:
-            continue
-        cb = coeff * _qnum(b, b + c - 2, c)
-        for i, w in enumerate(_MID_W):
-            key = (a, b - 1 + i, c - 1 + i, d)
-            out[key] = out[key] + cb * w if key in out else cb * w
-    return TensorPoly({key: v for key, v in out.items() if not v.is_zero()})
+    return TensorPoly(_add_terms((
+        ((a, b - 1 + i, c - 1 + i, d), cb * w)
+        for (a, b, c, d), coeff in F.terms.items() if b and c
+        for cb in (coeff * _qnum(b, b + c - 2, c),)
+        for i, w in enumerate(_MID_W)
+    ), {}))
 
 
 def m0(F: TensorPoly) -> NCPoly:
@@ -131,15 +122,8 @@ def m0(F: TensorPoly) -> NCPoly:
     z^j1 zs^k1 * z^j2 zs^k2 = z^j1 (zs^k1 z^j2) zs^k2, so each term reads the
     normal form of its middle block zs^k1 z^j2 off ``_normal_block``.
     """
-    out: dict = {}
-    for (j1, k1, j2, k2), c in F.terms.items():
-        for (j, k), w in _normal_block(k1, j2):
-            key = (j1 + j, k + k2)
-            v = w * c
-            prev = out.get(key)
-            v = v if prev is None else prev + v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return NCPoly(out)
+    return NCPoly(_add_terms((
+        ((j1 + j, k + k2), w * c)
+        for (j1, k1, j2, k2), c in F.terms.items()
+        for (j, k), w in _normal_block(k1, j2)
+    ), {}))

@@ -10,6 +10,13 @@ as a sum over r <= min(b, c) of Q^((b-r)(c-r)) [b r]_Q [c r]_Q (Q; Q)_r
 z^(c-r) zs^(b-r).  Each block asked for is memoized, and the blocks
 (b, c) and (c, b) share their coefficient objects; no swap-by-swap
 rewriting takes place.
+
+Every element here is a sparse sum over Q(s): a dict from a monomial key
+to a nonzero coefficient.  ``_add_terms`` is the one place that adds
+(key, value) pairs into such a dict and leaves out the keys whose sum is
+zero; ``_SparseSum`` gives ``NCPoly`` and ``TensorPoly`` their common
+linear structure on top of it.  The truncated t-series share their base
+in ``scalar``.
 """
 
 from __future__ import annotations
@@ -24,12 +31,34 @@ from .scalar import ONE, QScalar, TSeries, ZERO, _coerce, _exponents
 CoeffLike = Union[QScalar, int, Fraction]
 
 
-class NCPoly:
-    """An element of the quantum disc algebra, normal-ordered.
+def _add_terms(pairs, out: dict) -> dict:
+    """Add the (key, value) pairs into ``out`` and return it.
 
-    ``terms`` maps (j, k) to the coefficient of z^j zs^k; zero coefficients
-    are never stored, so the zero element has an empty map and equality is
-    plain dict comparison.  Instances are immutable by convention.
+    A key whose sum is zero is left out, so no sparse map ever stores a
+    zero value.  The values need ``+`` and ``is_zero``.
+    """
+    for key, v in pairs:
+        prev = out.get(key)
+        if prev is not None:
+            v = prev + v
+        if v.is_zero():
+            out.pop(key, None)
+        else:
+            out[key] = v
+    return out
+
+
+def _mono_key(jk: tuple) -> tuple:
+    """The canonical order of monomials z^j zs^k: by total degree, then by j."""
+    return (jk[0] + jk[1], jk[0])
+
+
+class _SparseSum:
+    """The linear structure of a sparse sum ``terms`` = {key: nonzero coefficient}.
+
+    Zero coefficients are never stored, so the zero element has an empty
+    map and equality is plain dict comparison.  Instances are immutable by
+    convention.
     """
 
     __slots__ = ("terms",)
@@ -37,11 +66,51 @@ class NCPoly:
     def __init__(self, terms: dict | None = None):
         self.terms = terms or {}
 
-    # -- constructors --------------------------------------------------------
+    @classmethod
+    def zero(cls):
+        return cls({})
 
-    @staticmethod
-    def zero() -> "NCPoly":
-        return NCPoly({})
+    def __add__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return type(self)(_add_terms(other.terms.items(), dict(self.terms)))
+
+    def __neg__(self):
+        return type(self)({key: -c for key, c in self.terms.items()})
+
+    def __sub__(self, other):
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self + (-other)
+
+    def scale(self, c: CoeffLike):
+        c = _coerce(c)
+        if c.is_zero():
+            return type(self)({})
+        return type(self)({key: v * c for key, v in self.terms.items()})
+
+    def __rmul__(self, other):
+        # scalars commute with everything; products of two elements go via __mul__
+        return self.scale(other)
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.terms == other.terms
+
+
+class NCPoly(_SparseSum):
+    """An element of the quantum disc algebra, normal-ordered.
+
+    ``terms`` maps (j, k) to the coefficient of z^j zs^k.
+    """
+
+    __slots__ = ()
+
+    # -- constructors --------------------------------------------------------
 
     @staticmethod
     def one() -> "NCPoly":
@@ -60,42 +129,9 @@ class NCPoly:
     def scalar(c: CoeffLike) -> "NCPoly":
         return NCPoly.monomial(0, 0, c)
 
-    # -- linear structure ----------------------------------------------------
-
-    def __add__(self, other: "NCPoly") -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return NCPoly(out)
-
-    def __neg__(self) -> "NCPoly":
-        return NCPoly({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other: "NCPoly") -> "NCPoly":
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self + (-other)
-
-    def scale(self, c: CoeffLike) -> "NCPoly":
-        c = _coerce(c)
-        if c.is_zero():
-            return NCPoly({})
-        return NCPoly({key: v * c for key, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, NCPoly):
             return nc_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
-        # scalars commute with everything; NCPoly * NCPoly goes via __mul__
         return self.scale(other)
 
     # -- involution and inspection -------------------------------------------
@@ -107,20 +143,12 @@ class NCPoly:
     def coefficient(self, j: int, k: int) -> QScalar:
         return self.terms.get((j, k), ZERO)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
     def support(self):
         return self.terms.keys()
 
     def degree(self) -> int:
         """Total degree, -1 for the zero polynomial."""
         return max((j + k for j, k in self.terms), default=-1)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, NCPoly):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
@@ -130,10 +158,7 @@ class NCPoly:
     def __str__(self) -> str:
         if not self.terms:
             return "0"
-        parts = []
-        for j, k in sorted(self.terms, key=lambda jk: (jk[0] + jk[1], jk[0])):
-            parts.append(_term_str(j, k, self.terms[(j, k)]))
-        return " + ".join(parts)
+        return " + ".join(_term_str(j, k, self.terms[(j, k)]) for j, k in sorted(self.terms, key=_mono_key))
 
     def __repr__(self) -> str:
         return f"NCPoly({self})"
@@ -205,20 +230,13 @@ def _normal_block(b: int, c: int) -> tuple:
 
 def nc_mul(f: NCPoly, g: NCPoly) -> NCPoly:
     """Product in the quantum disc algebra, result normal-ordered."""
-    out: dict = {}
-    for (a, b), ca in f.terms.items():
-        for (c, d), cb in g.terms.items():
-            coeff = ca * cb
-            for (j, k), w in _normal_block(b, c):
-                key = (a + j, k + d)
-                v = coeff * w
-                prev = out.get(key)
-                v = v if prev is None else prev + v
-                if v.is_zero():
-                    out.pop(key, None)
-                else:
-                    out[key] = v
-    return NCPoly(out)
+    return NCPoly(_add_terms((
+        ((a + j, k + d), coeff * w)
+        for (a, b), ca in f.terms.items()
+        for (c, d), cb in g.terms.items()
+        for coeff in (ca * cb,)
+        for (j, k), w in _normal_block(b, c)
+    ), {}))
 
 
 def involution(f: NCPoly) -> NCPoly:
@@ -252,21 +270,14 @@ ZS = NCPoly.monomial(0, 1)
 # ---------------------------------------------------------------------------
 
 
-class TensorPoly:
+class TensorPoly(_SparseSum):
     """An element of the tensor square of the quantum disc algebra.
 
     ``terms`` maps (j1, k1, j2, k2) to the coefficient of
-    z^j1 zs^k1 (x) z^j2 zs^k2, each leg normal-ordered; no zeros stored.
+    z^j1 zs^k1 (x) z^j2 zs^k2, each leg normal-ordered.
     """
 
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: dict | None = None):
-        self.terms = terms or {}
-
-    @staticmethod
-    def zero() -> "TensorPoly":
-        return TensorPoly({})
+    __slots__ = ()
 
     @staticmethod
     def from_polys(f: NCPoly, g: NCPoly) -> "TensorPoly":
@@ -276,37 +287,9 @@ class TensorPoly:
                 out[(j1, k1, j2, k2)] = c1 * c2
         return TensorPoly(out)
 
-    def __add__(self, other: "TensorPoly") -> "TensorPoly":
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        out = dict(self.terms)
-        for key, c in other.terms.items():
-            v = out.get(key)
-            v = c if v is None else v + c
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-        return TensorPoly(out)
-
-    def __neg__(self) -> "TensorPoly":
-        return TensorPoly({key: -c for key, c in self.terms.items()})
-
-    def __sub__(self, other: "TensorPoly") -> "TensorPoly":
-        return self + (-other)
-
-    def scale(self, c: CoeffLike) -> "TensorPoly":
-        c = _coerce(c)
-        if c.is_zero():
-            return TensorPoly({})
-        return TensorPoly({key: v * c for key, v in self.terms.items()})
-
     def __mul__(self, other):
         if isinstance(other, TensorPoly):
             return tensor_mul(self, other)
-        return self.scale(other)
-
-    def __rmul__(self, other):
         return self.scale(other)
 
     def flip(self) -> "TensorPoly":
@@ -315,14 +298,6 @@ class TensorPoly:
 
     def involution_each_leg(self) -> "TensorPoly":
         return TensorPoly({(k1, j1, k2, j2): c for (j1, k1, j2, k2), c in self.terms.items()})
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TensorPoly):
-            return NotImplemented
-        return self.terms == other.terms
 
     def __repr__(self) -> str:
         if not self.terms:
@@ -336,24 +311,15 @@ class TensorPoly:
 
 def tensor_mul(F: TensorPoly, G: TensorPoly) -> TensorPoly:
     """Leg-wise product on the tensor square."""
-    out: dict = {}
-    for (a1, b1, a2, b2), cf in F.terms.items():
-        for (c1, d1, c2, d2), cg in G.terms.items():
-            coeff = cf * cg
-            left = _normal_block(b1, c1)
-            right = _normal_block(b2, c2)
-            for (j1, k1), w1 in left:
-                cw = coeff * w1
-                for (j2, k2), w2 in right:
-                    key = (a1 + j1, k1 + d1, a2 + j2, k2 + d2)
-                    v = cw * w2
-                    prev = out.get(key)
-                    v = v if prev is None else prev + v
-                    if v.is_zero():
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
-    return TensorPoly(out)
+    return TensorPoly(_add_terms((
+        ((a1 + j1, k1 + d1, a2 + j2, k2 + d2), cw * w2)
+        for (a1, b1, a2, b2), cf in F.terms.items()
+        for (c1, d1, c2, d2), cg in G.terms.items()
+        for coeff in (cf * cg,)
+        for (j1, k1), w1 in _normal_block(b1, c1)
+        for cw in (coeff * w1,)
+        for (j2, k2), w2 in _normal_block(b2, c2)
+    ), {}))
 
 
 # ---------------------------------------------------------------------------

@@ -562,18 +562,18 @@ def eval_numeric(x: QScalar, s0: Fraction) -> Fraction:
 # ---------------------------------------------------------------------------
 
 
-class TSeries:
-    """A power series in the formal parameter t, truncated at t**order.
+class _Truncated:
+    """A series in t truncated at t**order, as its ``order + 1`` coefficients.
 
-    ``coeffs[n]`` is the coefficient of t**n; the tuple always has
-    ``order + 1`` entries.  All arithmetic is modulo t**(order+1) and the
-    order is fixed per run: combining series of different orders raises
-    rather than silently truncating to the shorter one.
+    ``coeffs[n]`` is the coefficient of t**n.  Orders are rigid: combining
+    series of different truncation orders raises rather than silently
+    truncating to the shorter one.  Subclasses set ``_T``, the text between
+    a coefficient and its power of t.
     """
 
     __slots__ = ("order", "coeffs")
 
-    def __init__(self, coeffs: Iterable[QScalar], order: int | None = None):
+    def __init__(self, coeffs: Iterable, order: int | None = None):
         coeffs = tuple(coeffs)
         if order is None:
             order = len(coeffs) - 1
@@ -581,6 +581,43 @@ class TSeries:
             raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
         self.order = order
         self.coeffs = coeffs
+
+    def _check(self, other) -> None:
+        if self.order != other.order:
+            raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
+
+    def __neg__(self):
+        return type(self)(tuple(-c for c in self.coeffs), self.order)
+
+    def is_zero(self) -> bool:
+        return all(c.is_zero() for c in self.coeffs)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        return self.order == other.order and self.coeffs == other.coeffs
+
+    def __str__(self) -> str:
+        parts = []
+        for n, c in enumerate(self.coeffs):
+            if c.is_zero():
+                continue
+            tpow = "" if n == 0 else (self._T if n == 1 else f"{self._T}^{n}")
+            parts.append(f"({c}){tpow}")
+        return " + ".join(parts) if parts else "0"
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}[{self.order}]({self})"
+
+
+class TSeries(_Truncated):
+    """A power series in the formal parameter t with Q(s) coefficients.
+
+    All arithmetic is modulo t**(order+1), and the order is fixed per run.
+    """
+
+    __slots__ = ()
+    _T = "*t"
 
     @staticmethod
     def zero(order: int) -> "TSeries":
@@ -593,13 +630,6 @@ class TSeries:
     @staticmethod
     def constant(c: ScalarLike, order: int) -> "TSeries":
         return TSeries((_coerce(c),) + (ZERO,) * order, order)
-
-    def _check(self, other: "TSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
-
-    def is_zero(self) -> bool:
-        return all(c.is_zero() for c in self.coeffs)
 
     def is_one(self) -> bool:
         """Whether this is the unit series: constant term 1 and every other coefficient 0."""
@@ -618,14 +648,14 @@ class TSeries:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        return TSeries(tuple(-c for c in self.coeffs), self.order)
-
     def __sub__(self, other):
         if isinstance(other, TSeries):
             self._check(other)
             return TSeries(tuple(a - b for a, b in zip(self.coeffs, other.coeffs)), self.order)
-        return self.__add__(-_coerce(other))
+        c = _coerce(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return self.__add__(-c)
 
     def __mul__(self, other):
         """The truncated product.
@@ -690,22 +720,5 @@ class TSeries:
         out = (ZERO,) * min(j, self.order + 1) + self.coeffs[: max(self.order + 1 - j, 0)]
         return TSeries(out, self.order)
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, TSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
-
-    def __str__(self) -> str:
-        parts = []
-        for n, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            tpow = "" if n == 0 else ("*t" if n == 1 else f"*t^{n}")
-            parts.append(f"({c}){tpow}")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"TSeries[{self.order}]({self})"

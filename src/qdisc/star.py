@@ -26,8 +26,8 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qcalc import box
-from .qpoly import NCPoly, nc_mul, nc_mul_left_z_power, nc_mul_right_zstar_power
-from .scalar import ONE, QScalar, ZERO
+from .qpoly import NCPoly, _add_terms, nc_mul, nc_mul_left_z_power
+from .scalar import ONE, QScalar, ZERO, _Truncated
 
 _Q = QScalar.q_power(2)
 _ONE_MINUS_Q_SQ = (ONE - _Q) ** 2
@@ -163,23 +163,15 @@ def ck(k: int, f1: NCPoly, f2: NCPoly) -> NCPoly:
     return star(f1, f2, k).coeffs[k]
 
 
-class StarSeries:
+class StarSeries(_Truncated):
     """A truncated element of the deformed algebra: T + 1 polynomial coefficients.
 
     ``coeffs[n]`` is the NCPoly coefficient of t^n.  Orders are rigid:
     combining series of different truncation orders is an error.
     """
 
-    __slots__ = ("order", "coeffs")
-
-    def __init__(self, coeffs, order: int | None = None):
-        coeffs = tuple(coeffs)
-        if order is None:
-            order = len(coeffs) - 1
-        if len(coeffs) != order + 1:
-            raise ValueError(f"need {order + 1} coefficients, got {len(coeffs)}")
-        self.order = order
-        self.coeffs = coeffs
+    __slots__ = ()
+    _T = " t"
 
     @staticmethod
     def from_ncpoly(f: NCPoly, order: int) -> "StarSeries":
@@ -193,18 +185,11 @@ class StarSeries:
     def zero(order: int) -> "StarSeries":
         return StarSeries((NCPoly.zero(),) * (order + 1), order)
 
-    def _check(self, other: "StarSeries") -> None:
-        if self.order != other.order:
-            raise ValueError(f"truncation order mismatch: {self.order} vs {other.order}")
-
     def __add__(self, other: "StarSeries") -> "StarSeries":
         if not isinstance(other, StarSeries):
             return NotImplemented
         self._check(other)
         return StarSeries(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)), self.order)
-
-    def __neg__(self) -> "StarSeries":
-        return StarSeries(tuple(-a for a in self.coeffs), self.order)
 
     def __sub__(self, other: "StarSeries") -> "StarSeries":
         if not isinstance(other, StarSeries):
@@ -218,36 +203,18 @@ class StarSeries:
         """Termwise involution; t is a real central parameter and stays put."""
         return StarSeries(tuple(a.involution() for a in self.coeffs), self.order)
 
-    def is_zero(self) -> bool:
-        return all(a.is_zero() for a in self.coeffs)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, StarSeries):
-            return NotImplemented
-        return self.order == other.order and self.coeffs == other.coeffs
-
-    def __str__(self) -> str:
-        parts = []
-        for n, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            tpow = "" if n == 0 else (" t" if n == 1 else f" t^{n}")
-            parts.append(f"({a}){tpow}")
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"StarSeries[{self.order}]({self})"
-
 
 def star(f1: NCPoly, f2: NCPoly, order: int) -> StarSeries:
     """The deformed product of two polynomials, truncated at t^order.
 
     Term pairs z^a zs^b, z^c zs^d with b = 0 or c = 0 are skipped: box_tilde
-    kills them and (p_k - p_(k-1))(0) = 0.
+    kills them and (p_k - p_(k-1))(0) = 0.  As C_k(z^a zs^b, z^c zs^d) =
+    z^a C_k(zs^b, z^c) zs^d, each sector term z^j zs^k of a pair goes into
+    the sum of its order as z^(a+j) zs^(k+d), scaled by the pair's coefficient.
     """
     if order < 0:
         raise ValueError("truncation order must be >= 0")
-    coeffs = [nc_mul(f1, f2)] + [NCPoly.zero()] * order
+    sums = [{} for _ in range(order)]
     for (a, b), c1 in f1.terms.items():
         if b == 0:
             continue
@@ -255,10 +222,9 @@ def star(f1: NCPoly, f2: NCPoly, order: int) -> StarSeries:
             if c == 0:
                 continue
             w = c1 * c2
-            for k, sector in enumerate(_ck_mono(b, c, order), start=1):
-                shifted = nc_mul_left_z_power(a, nc_mul_right_zstar_power(d, sector))
-                coeffs[k] = coeffs[k] + shifted.scale(w)
-    return StarSeries(coeffs, order)
+            for out, sector in zip(sums, _ck_mono(b, c, order)):
+                _add_terms((((a + j, k + d), v * w) for (j, k), v in sector.terms.items()), out)
+    return StarSeries([nc_mul(f1, f2)] + [NCPoly(out) for out in sums], order)
 
 
 def m_series(psi1: StarSeries, psi2: StarSeries) -> StarSeries:
@@ -266,10 +232,12 @@ def m_series(psi1: StarSeries, psi2: StarSeries) -> StarSeries:
 
     The t^n coefficient collects C_r(a_j, b_k) over j + k + r = n (with
     C_0 the plain product), so the result is again exact mod t^(order+1).
+    Each cross term's product is summed on its own first: its coefficients
+    are small next to the running sums.
     """
     psi1._check(psi2)
     T = psi1.order
-    out = [NCPoly.zero() for _ in range(T + 1)]
+    sums = [{} for _ in range(T + 1)]
     for j, a in enumerate(psi1.coeffs):
         if a.is_zero():
             continue
@@ -277,10 +245,9 @@ def m_series(psi1: StarSeries, psi2: StarSeries) -> StarSeries:
             b = psi2.coeffs[k]
             if b.is_zero():
                 continue
-            partial = star(a, b, T - j - k)
-            for r, c in enumerate(partial.coeffs):
-                out[j + k + r] = out[j + k + r] + c
-    return StarSeries(out, T)
+            for r, c in enumerate(star(a, b, T - j - k).coeffs):
+                _add_terms(c.terms.items(), sums[j + k + r])
+    return StarSeries([NCPoly(out) for out in sums], T)
 
 
 def series_involution(psi: StarSeries) -> StarSeries:

@@ -25,7 +25,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qcalc import box
-from .qpoly import NCPoly, nc_mul
+from .qpoly import NCPoly, _add_terms, nc_mul
 from .scalar import ONE, QScalar
 from .star import StarSeries, star
 
@@ -180,17 +180,9 @@ def _act_word_letters(letters: tuple, f: NCPoly) -> NCPoly:
 def act(g: str, f: NCPoly) -> NCPoly:
     """Action of a single generator on a polynomial, extended linearly."""
     _check_gen(g)
-    out: dict = {}
-    for (j, k), c in f.terms.items():
-        for key, w in _act_mono(g, j, k).terms.items():
-            v = w * c
-            prev = out.get(key)
-            v = v if prev is None else prev + v
-            if v.is_zero():
-                out.pop(key, None)
-            else:
-                out[key] = v
-    return NCPoly(out)
+    return NCPoly(_add_terms((
+        (key, w * c) for (j, k), c in f.terms.items() for key, w in _act_mono(g, j, k).terms.items()
+    ), {}))
 
 
 def act_word(words: WordCombo, f: NCPoly) -> NCPoly:

@@ -101,6 +101,11 @@ CASES = [
         ],
         None,
     ),
+    # the box stencil cancels the z*zs term outright, and star adds the
+    # shifted sector terms of different term pairs into the same keys,
+    # one of them with a coefficient that is not a Laurent polynomial
+    ("box-cancel", ["box", "z*zs + 1/(1+q^2)*z^2*zs^2"], None),
+    ("star-T4-collide", ["star", "zs + z*zs^2", "z - 1/(1-q)*z^2*zs", "--order", "4"], None),
 ]
 
 

@@ -210,6 +210,13 @@ def test_tshift():
     assert a.tshift(3).is_zero()
 
 
+def test_subtracting_a_non_scalar_is_unsupported():
+    with pytest.raises(TypeError, match="unsupported operand"):
+        TSeries.one(2) - "x"
+    with pytest.raises(TypeError, match="unsupported operand"):
+        TSeries.one(2) + "x"
+
+
 def test_inverse_requires_unit():
     with pytest.raises(ValueError):
         TSeries.zero(2).inverse()
