@@ -12,7 +12,7 @@ checked by exact equality; see the ``verify`` suites and the CLI.
 import importlib
 import sys
 
-from .scalar import ONE, Q, QScalar, S, TSeries, ZERO, eval_numeric, qpochhammer
+from .scalar import ONE, Q, QScalar, S, TSeries, ZERO, eval_numeric
 from .qpoly import (
     NCPoly,
     TensorPoly,
@@ -98,7 +98,6 @@ def clear_caches() -> None:
     uq = sys.modules.get(f"{__name__}.uqsl2")
     if uq is not None:
         uq._act_mono.cache_clear()
-        uq._zs_action.cache_clear()
     fock = sys.modules.get(f"{__name__}.fockrep")
     if fock is not None:
         for memo in (fock.i_op, fock._poch, fock._column_poly, fock._column_value, fock._column_inverse):
@@ -118,7 +117,6 @@ __all__ = [
     "ONE",
     "S",
     "Q",
-    "qpochhammer",
     "eval_numeric",
     "NCPoly",
     "TensorPoly",
@@ -142,29 +140,7 @@ __all__ = [
     "StarSeries",
     "m_series",
     "series_involution",
-    "FockOp",
-    "i_op",
-    "i_op_poly",
-    "zhat",
-    "zhat_star",
-    "q_map",
-    "covariant_symbol",
-    "berezin",
-    "berezin_expansion",
-    "ValidityError",
-    "InsufficientCutoffError",
-    "E",
-    "F",
-    "K",
-    "KINV",
-    "GENERATORS",
-    "act",
-    "act_word",
-    "act_series",
-    "check_module_algebra",
-    "check_star_equivariance",
-    "check_box_equivariance",
-    "check_involution_compat",
+    *_LAZY,
     "parse",
     "to_ncpoly",
     "parse_ncpoly",

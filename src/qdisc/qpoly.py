@@ -85,6 +85,8 @@ class _SparseSum:
 
     def scale(self, c: CoeffLike):
         c = _coerce(c)
+        if c is NotImplemented:
+            return NotImplemented
         if c.is_zero():
             return type(self)({})
         return type(self)({key: v * c for key, v in self.terms.items()})

@@ -534,20 +534,6 @@ S = QScalar.s_power(1)
 Q = QScalar.q_power(1)
 
 
-def qpochhammer(a: ScalarLike, base_exponent: int, n: int) -> QScalar:
-    """The shifted factorial prod_{i<n} (1 - a * q**(base_exponent*i)).
-
-    ``base_exponent`` may be negative; ``n`` must be >= 0 (n = 0 gives 1).
-    """
-    if n < 0:
-        raise ValueError("qpochhammer needs n >= 0")
-    a = _coerce(a)
-    out = ONE
-    for i in range(n):
-        out = out * (ONE - a * QScalar.q_power(base_exponent * i))
-    return out
-
-
 def eval_numeric(x: QScalar, s0: Fraction) -> Fraction:
     """Substitute the exact rational s0 for s.  Raises on a pole."""
     s0 = Fraction(s0)
@@ -657,6 +643,12 @@ class TSeries(_Truncated):
             return NotImplemented
         return self.__add__(-c)
 
+    def __rsub__(self, other):
+        c = _coerce(other)
+        if c is NotImplemented:
+            return NotImplemented
+        return (-self).__add__(c)
+
     def __mul__(self, other):
         """The truncated product.
 
@@ -710,15 +702,6 @@ class TSeries(_Truncated):
         if c is NotImplemented:
             return NotImplemented
         return self * (ONE / c)
-
-    def tshift(self, j: int) -> "TSeries":
-        """Multiply by t**j, dropping what falls past the truncation order."""
-        if j < 0:
-            raise ValueError("tshift needs j >= 0")
-        if j == 0:
-            return self
-        out = (ZERO,) * min(j, self.order + 1) + self.coeffs[: max(self.order + 1 - j, 0)]
-        return TSeries(out, self.order)
 
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))

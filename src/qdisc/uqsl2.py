@@ -1,19 +1,26 @@
 """Quantized sl2 symmetry of the quantum disc.
 
-The Hopf algebra with generators E, F, K, K^-1 acts on the disc algebra:
-the action is pinned on z by
-
-    K z = q^2 z,   K^-1 z = q^-2 z,   F z = q^(1/2),   E z = -q^(1/2) z^2,
-
-extended to products through the coproduct
+The Hopf algebra with generators E, F, K, K^-1 acts on the disc algebra as
+a module algebra, xi(f g) = sum xi_1(f) xi_2(g), with the coproduct
 
     D(K)  = K (x) K,   D(E) = E (x) 1 + K (x) E,   D(F) = F (x) K^-1 + 1 (x) F,
 
-to the unit by the counit, and to the adjoint generator by the involution
-compatibility rule  (xi f)* = (S(xi))* f*  with the real-form involution
-E* = -KF, F* = -EK^-1, K* = K.  The zs actions are derived from that rule
-once (not postulated), so any sign or branch convention is fixed by the
-round trip itself.
+by the counit on the unit, and on the normal-ordered basis, with
+[n] = [n]_{q^2} and q^(1/2) = s, by the two-term stencil
+
+    K^(+-1) z^j zs^k = q^(+-2(j-k)) z^j zs^k
+    E z^j zs^k = q^(2(j-k)+1/2) [k] z^j zs^(k-1) - q^(1/2) [j] z^(j+1) zs^k
+    F z^j zs^k = q^(2(k-j)+5/2) [j] z^(j-1) zs^k - q^(5/2) [k] z^j zs^(k+1)
+
+On z it reads K z = q^2 z, E z = -q^(1/2) z^2, F z = q^(1/2).  On zs it is
+what the involution rule (xi f)* = (S(xi))* f* gives from z, with
+E* = -KF, F* = -EK^-1, K* = K; the ``uq-involution-compatibility`` law
+checks that.  Proof by induction on j + k: write z^j zs^k = x g with
+x = z for j > 0 and x = zs for j = 0, so every product stays normal-ordered.
+D(E) gives E(x) g + K(x) E(g) and D(F) gives F(x) K^-1(g) + x F(g); the
+terms land on the stencil's two monomials, and their coefficients add up
+through [n] = 1 + q^2 [n-1] (x = z) and [n] = [n-1] + q^(2(n-1)) (x = zs).
+The tests keep this recursion, letter by letter, as the stencil's oracle.
 
 The ``check_*`` functions decide, by exact computation, whether a given
 generator respects the plain product, the deformed product, the box
@@ -24,7 +31,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .qcalc import box
+from .qcalc import _qnum, box
 from .qpoly import NCPoly, _add_terms, nc_mul
 from .scalar import ONE, QScalar
 from .star import StarSeries, star
@@ -128,46 +135,19 @@ def coproduct_word(letters: tuple) -> tuple:
 
 # -- the action ---------------------------------------------------------------
 
-# base actions on the generator z (and on the unit via the counit)
-_Z_ACTION = {
-    K: NCPoly.monomial(1, 0, QScalar.q_power(2)),
-    KINV: NCPoly.monomial(1, 0, QScalar.q_power(-2)),
-    F: NCPoly.scalar(QScalar.s_power(1)),
-    E: NCPoly.monomial(2, 0, -QScalar.s_power(1)),
-}
-
 
 @lru_cache(maxsize=None)
-def _zs_action(g: str) -> NCPoly:
-    """Action on zs, derived from  xi f = ((S(xi))* f*)*  with f = zs."""
-    word = star_of_antipode(g)[0]
-    acted = _act_word_letters(word[1], NCPoly.monomial(1, 0)).scale(word[0])
-    return acted.involution()
-
-
-@lru_cache(maxsize=None)
-def _act_mono(g: str, j: int, k: int) -> NCPoly:
-    """Action of one generator on z^j zs^k, peeling one letter via the coproduct."""
-    if j == 0 and k == 0:
-        return NCPoly.scalar(counit(g))
-    if (j, k) == (1, 0):
-        return _Z_ACTION[g]
-    if (j, k) == (0, 1):
-        return _zs_action(g)
-    if j > 0:
-        head, rest = NCPoly.monomial(1, 0), (j - 1, k)
+def _act_mono(g: str, j: int, k: int) -> tuple:
+    """Action of one generator on z^j zs^k as ((j', k'), coeff) pairs: the stencil above."""
+    if g in (K, KINV):
+        e = 4 * (j - k)
+        return (((j, k), QScalar.s_power(e if g == K else -e)),)
+    # each stencil term as (monomial, n of [n], power of s = q^(1/2), sign)
+    if g == E:
+        terms =(((j, k - 1), k, 4 * (j - k) + 1, ONE), ((j + 1, k), j, 1, -ONE))
     else:
-        head, rest = NCPoly.monomial(0, 1), (0, k - 1)
-    out = NCPoly.zero()
-    for c, left, right in coproduct(g):
-        lhs = _act_word_letters(left, head)
-        if lhs.is_zero():
-            continue
-        rhs = _act_word_letters(right, NCPoly.monomial(*rest))
-        if rhs.is_zero():
-            continue
-        out = out + nc_mul(lhs, rhs).scale(c)
-    return out
+        terms = (((j - 1, k), j, 4 * (k - j) + 5, ONE), ((j, k + 1), k, 5, -ONE))
+    return tuple((key, sign * QScalar.s_power(e) * _qnum(n, 0)) for key, n, e, sign in terms if n)
 
 
 def _act_word_letters(letters: tuple, f: NCPoly) -> NCPoly:
@@ -181,7 +161,7 @@ def act(g: str, f: NCPoly) -> NCPoly:
     """Action of a single generator on a polynomial, extended linearly."""
     _check_gen(g)
     return NCPoly(_add_terms((
-        (key, w * c) for (j, k), c in f.terms.items() for key, w in _act_mono(g, j, k).terms.items()
+        (key, w * c) for (j, k), c in f.terms.items() for key, w in _act_mono(g, j, k)
     ), {}))
 
 

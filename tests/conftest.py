@@ -1,4 +1,4 @@
-"""Shared test helpers: independent word-rewriting oracles and generators."""
+"""Shared test helpers: independent word-rewriting oracles, test-only helpers and generators."""
 
 from __future__ import annotations
 
@@ -17,6 +17,8 @@ from qdisc import (
     TSeries,
     TensorPoly,
     WindowedSeries,
+    Z,
+    ZS,
     box,
     box_tilde,
     d_partial,
@@ -25,11 +27,33 @@ from qdisc import (
     zhat,
     zhat_star,
 )
-from qdisc.scalar import ONE, ZERO, qpochhammer
+from qdisc.scalar import ONE, ZERO
+from qdisc.uqsl2 import E, F, K, KINV, coproduct, counit, star_of_antipode
 from qdisc.verify import _deformation_terms
 
 Q2 = QScalar.q_power(2)
 ONE_MINUS_Q2 = QScalar.from_int(1) - Q2
+
+
+def qpochhammer(a, base_exponent: int, n: int) -> QScalar:
+    """The shifted factorial prod_{i<n} (1 - a * q**(base_exponent*i)).
+
+    ``base_exponent`` may be negative; ``n`` must be >= 0 (n = 0 gives 1).
+    """
+    if n < 0:
+        raise ValueError("qpochhammer needs n >= 0")
+    out = ONE
+    for i in range(n):
+        out = out * (ONE - a * QScalar.q_power(base_exponent * i))
+    return out
+
+
+def tshift(a: TSeries, j: int) -> TSeries:
+    """a times t**j, dropping what falls past the truncation order."""
+    if j < 0:
+        raise ValueError("tshift needs j >= 0")
+    out = (ZERO,) * min(j, a.order + 1) + a.coeffs[: max(a.order + 1 - j, 0)]
+    return TSeries(out, a.order)
 
 
 def naive_normal_order(word: tuple, coeff: QScalar) -> dict:
@@ -172,16 +196,54 @@ def m0_product_form(F: TensorPoly) -> NCPoly:
     return out
 
 
-def act_sum_form(g: str, f: NCPoly) -> NCPoly:
-    """Sum over the terms of f of c * (g acting on z^j zs^k), through ``NCPoly.__add__``.
+# the action pinned on z, where the coproduct recursion starts
+_Z_ACTION = {
+    K: NCPoly.monomial(1, 0, Q2),
+    KINV: NCPoly.monomial(1, 0, QScalar.q_power(-2)),
+    F: NCPoly.scalar(QScalar.s_power(1)),
+    E: NCPoly.monomial(2, 0, -QScalar.s_power(1)),
+}
 
-    The oracle for the one-dict accumulation in ``uqsl2.act``.
+
+def _coproduct_word(letters: tuple, f: NCPoly) -> NCPoly:
+    """The oracle's letter actions composed; the leftmost letter acts last."""
+    for g in reversed(letters):
+        f = act_sum_form(g, f)
+    return f
+
+
+@lru_cache(maxsize=None)
+def coproduct_action(g: str, j: int, k: int) -> NCPoly:
+    """g on z^j zs^k through the coproduct, one letter at a time.
+
+    The action is pinned on z and given on the unit by the counit.  On zs
+    it follows from the involution rule g zs = ((S(g))* z)*.  A longer
+    monomial x * rest, with x = z for j > 0 and x = zs for j = 0, goes
+    through D(g) = sum c g1 (x) g2 as sum c nc_mul(g1 x, g2 rest).  Knows
+    no q-number: the oracle for the stencil in ``uqsl2._act_mono``.
     """
-    from qdisc.uqsl2 import _act_mono
+    if (j, k) == (0, 0):
+        return NCPoly.scalar(counit(g))
+    if (j, k) == (1, 0):
+        return _Z_ACTION[g]
+    if (j, k) == (0, 1):
+        c, letters = star_of_antipode(g)[0]
+        return _coproduct_word(letters, Z).scale(c).involution()
+    head, rest = (Z, NCPoly.monomial(j - 1, k)) if j else (ZS, NCPoly.monomial(0, k - 1))
+    out = NCPoly.zero()
+    for c, left, right in coproduct(g):
+        out = out + nc_mul(_coproduct_word(left, head), _coproduct_word(right, rest)).scale(c)
+    return out
 
+
+def act_sum_form(g: str, f: NCPoly) -> NCPoly:
+    """Sum over the terms of f of c * coproduct_action(g, j, k), through ``NCPoly.__add__``.
+
+    The oracle for ``uqsl2.act``: its stencil and its one-dict sum.
+    """
     out = NCPoly.zero()
     for (j, k), c in f.terms.items():
-        out = out + _act_mono(g, j, k).scale(c)
+        out = out + coproduct_action(g, j, k).scale(c)
     return out
 
 
@@ -396,7 +458,7 @@ def naive_q_map(psi, M: int) -> FockOp:
         if f.is_zero():
             continue
         op = naive_i_op_poly(f, M, order)
-        out = out + FockOp(M, order, {key: v.tshift(n) for key, v in op.entries.items()}, op.raise_bound)
+        out = out + FockOp(M, order, {key: tshift(v, n) for key, v in op.entries.items()}, op.raise_bound)
     return out
 
 

@@ -411,6 +411,7 @@ def test_every_public_name_resolves():
     import qdisc.fockrep
     import qdisc.uqsl2
 
+    assert len(set(qdisc.__all__)) == len(qdisc.__all__)
     for name in qdisc.__all__:
         assert getattr(qdisc, name) is not None, name
     assert qdisc.q_map is qdisc.fockrep.q_map

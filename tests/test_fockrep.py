@@ -23,7 +23,6 @@ from qdisc import (
     i_op_poly,
     nc_mul,
     q_map,
-    qpochhammer,
     star,
     zhat,
     zhat_star,
@@ -43,6 +42,8 @@ from conftest import (
     naive_i_op_poly,
     naive_q_map,
     qbinomial_covariant_symbol,
+    qpochhammer,
+    tshift,
 )
 
 M, T = 16, 3
@@ -109,7 +110,7 @@ def test_zhat_star_from_norm_ratios():
             den = TSeries.one(T)
             for i in range(n):
                 den = den * (
-                    TSeries.one(T) - TSeries.constant(QScalar.q_power(2 * i + 2), T).tshift(1)
+                    TSeries.one(T) - tshift(TSeries.constant(QScalar.q_power(2 * i + 2), T), 1)
                 )
             return TSeries.constant(num, T) / den
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from qdisc import ONE, QScalar, TSeries, ZERO, eval_numeric, qpochhammer
+from qdisc import ONE, QScalar, TSeries, ZERO, eval_numeric
 
-from conftest import from_rational
+from conftest import from_rational, qpochhammer, tshift
 
 Q = QScalar.q_power(1)
 
@@ -206,8 +206,8 @@ def test_rational_roundtrip_inverse(rng):
 
 def test_tshift():
     a = TSeries([ONE, QScalar.q_power(1), QScalar.q_power(2)], 2)
-    assert a.tshift(1).coeffs == (ZERO, ONE, QScalar.q_power(1))
-    assert a.tshift(3).is_zero()
+    assert tshift(a, 1).coeffs == (ZERO, ONE, QScalar.q_power(1))
+    assert tshift(a, 3).is_zero()
 
 
 def test_subtracting_a_non_scalar_is_unsupported():
@@ -215,6 +215,14 @@ def test_subtracting_a_non_scalar_is_unsupported():
         TSeries.one(2) - "x"
     with pytest.raises(TypeError, match="unsupported operand"):
         TSeries.one(2) + "x"
+
+
+def test_subtracting_from_a_scalar_negates_the_difference():
+    ts = TSeries([ONE, Q, QScalar.q_power(2)], 2)
+    for c in (1, Fraction(1, 2), Q):
+        assert c - ts == -(ts - c)
+        assert c - ts == (-ts) + c
+    assert 1 - TSeries.one(2) == TSeries.zero(2)
 
 
 def test_inverse_requires_unit():

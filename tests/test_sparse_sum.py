@@ -111,3 +111,12 @@ def test_linear_structures_do_not_mix():
     for order in (0, 2):
         assert StarSeries.zero(order) != TSeries.zero(order)
         assert TSeries.one(order) != StarSeries.one(order)
+
+
+@pytest.mark.parametrize("other", ["x", 1.5])
+def test_products_with_a_non_scalar_are_unsupported(other):
+    for element in (NCPoly.zero(), NCPoly.one(), TensorPoly.zero(), TensorPoly.from_polys(Z, ZS)):
+        with pytest.raises(TypeError):
+            element * other
+        with pytest.raises(TypeError):
+            other * element

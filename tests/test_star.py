@@ -1,9 +1,12 @@
 """Tests for the expansion polynomials and the deformed product."""
 
+import importlib
+import pkgutil
 from fractions import Fraction
 
 import pytest
 
+import qdisc
 from qdisc import (
     E,
     F,
@@ -281,19 +284,15 @@ def _memo_results() -> tuple:
     return psi, [pk(k) for k in range(6)], act(E, f1), act(F, f2), q_map(psi, 8), berezin(1, 2, 4, 8, 2)
 
 
+def _package_memos() -> set:
+    """Every object with ``cache_clear`` in the modules of ``qdisc``."""
+    modules = [importlib.import_module(f"qdisc.{info.name}") for info in pkgutil.iter_modules(qdisc.__path__)]
+    return {obj for module in modules for obj in vars(module).values() if hasattr(obj, "cache_clear")}
+
+
 def test_clear_caches_empties_every_memo_and_keeps_results():
-    memos = (
-        qpoly._normal_block,
-        pk,
-        _ck_mono,
-        uqsl2._act_mono,
-        uqsl2._zs_action,
-        fockrep.i_op,
-        fockrep._poch,
-        fockrep._column_poly,
-        fockrep._column_value,
-        fockrep._column_inverse,
-    )
+    memos = _package_memos()
+    assert {qpoly._normal_block, pk, _ck_mono, uqsl2._act_mono, fockrep.i_op} <= memos
     before = _memo_results()
     assert all(memo.cache_info().currsize for memo in memos)
     assert _SECTORS and len(_X_IMAGES) > 1

@@ -35,7 +35,7 @@ from qdisc.uqsl2 import (
     star_of_antipode,
 )
 
-from conftest import act_sum_form, mixed_ncpolys
+from conftest import act_sum_form, coproduct_action, mixed_ncpolys
 
 Q2 = QScalar.q_power(2)
 S1 = QScalar.s_power(1)
@@ -195,7 +195,7 @@ def test_involution_compat_k():
 
 
 def test_involution_compat_definitional_roundtrip():
-    # E on z is pinned; the zs action was built to satisfy the rule
+    # the stencil states E on z and on zs; the rule ties the two together
     assert check_involution_compat(E, Z)
     assert check_involution_compat(E, ZS)
 
@@ -250,6 +250,13 @@ def test_coproduct_respects_relations():
                     return out
 
                 assert image(wa) == image(wb), (name, f1, f2)
+
+
+def test_stencil_matches_coproduct_recursion():
+    for g in GENERATORS:
+        for j in range(9):
+            for k in range(9):
+                assert act(g, NCPoly.monomial(j, k)) == coproduct_action(g, j, k), (g, j, k)
 
 
 @settings(max_examples=60, deadline=None)
