@@ -2,8 +2,9 @@
 
 Every command prints a single JSON document with a top-level
 ``"schema": 1`` field.  Exit codes: 0 on success, 1 when a verification
-check fails, 2 on usage or expression errors; only ``--help`` prints plain
-text instead, and exits 0.  The ``--latex`` flag adds a presentation-only
+check fails, 2 on usage or expression errors and when the reader closes
+stdout before the output is written; only ``--help`` prints plain text
+instead, and exits 0.  The ``--latex`` flag adds a presentation-only
 rendering next to the canonical text; the canonical strings are what
 downstream tooling should compare.
 """
@@ -12,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -356,6 +358,17 @@ def _check_nonnegative(args) -> None:
 
 
 def main(argv=None) -> int:
+    try:
+        code = _run(argv)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout: devnull keeps the interpreter's last flush quiet
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
+    return code
+
+
+def _run(argv) -> int:
     ap = build_parser()
     try:
         args = ap.parse_args(argv)

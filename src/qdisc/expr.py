@@ -96,7 +96,8 @@ class _Parser:
     def expect(self, kind: str):
         tok = self.take()
         if tok[0] != kind:
-            raise ParseError(f"expected {kind!r}, found {tok[1]!r}", tok[2])
+            found = "end of input" if tok[0] == "end" else repr(tok[1])
+            raise ParseError(f"expected {kind!r}, found {found}", tok[2])
         return tok
 
     def parse_expr(self):
@@ -146,6 +147,8 @@ class _Parser:
             self.expect(")")
             self.depth -= 1
             return node
+        if tok[0] == "end":
+            raise ParseError("unexpected end of input", tok[2])
         raise ParseError(f"unexpected token {tok[1]!r}", tok[2])
 
 

@@ -11,16 +11,17 @@ finite equality check: mapping a truncated star series through ``q_map``
 must agree with the matrix product of the factors' images.
 
 With x = q^2m, the t^n coefficient of column m is a polynomial in x of
-degree k + n (``_column_poly``, integer numerators over a power of s), and
-x^p is the shift s^(4mp).  So ``q_map`` and ``i_op_poly`` group terms by
-diagonal j - k and sum the terms of one diagonal once per power of x and
-t-order, as integer multiply-adds over one common denominator.  Most of
-those sums cancel, so their zero entries are dropped once per diagonal;
-every column is what is left read at its x, one integer dict of shifted
-numerators over that denominator, with no product.  ``scalar._canonical``
-brings it to canonical form, by one shift when the denominator is a
-monomial c s^E and by a gcd otherwise.  A diagonal with a single term
-scales the memoized column value instead.
+degree k + n (``_column_poly``) whose coefficients are Laurent polynomials
+in s with no denominator, and x^p is the shift s^(4mp).  So ``q_map`` and
+``i_op_poly`` group terms by diagonal j - k and sum the terms of one
+diagonal once per power of x and t-order, as integer multiply-adds over
+the one common denominator of the term coefficients.  Most of those sums
+cancel, so their zero entries are dropped once per diagonal; every column
+is what is left read at its x, one integer dict of shifted numerators over
+that denominator, with no product.  ``scalar._canonical`` brings it to
+canonical form: as it stands over 1, by one content division over a
+constant, and by a gcd otherwise.  A diagonal with a single term scales
+the memoized column value instead.
 
 ``covariant_symbol`` inverts the picture (unique coefficients within a
 declared window): it multiplies by the numerator (t q^2m; q^-2)_k of the
@@ -38,7 +39,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .qpoly import NCPoly, WindowedSeries, _add_terms
-from .scalar import _ONE_P, ZERO, QScalar, TSeries, _canonical, _div_poly, _exponents, _padd, _pmul
+from .scalar import _ONE_P, ZERO, QScalar, TSeries, _canonical, _div_poly, _exponents, _padd, _pmul, _shifted
 from .star import StarSeries, star
 
 
@@ -194,30 +195,28 @@ def _poch(k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _column_poly(k: int, order: int) -> tuple:
-    """Column m of z^j zs^k as a polynomial in x = q^2m: (rows, den), one row per t-order.
+    """Column m of z^j zs^k as a polynomial in x = q^2m: one row per t-order.
 
-    Row n holds the (power of x, integer numerator) pairs of the t^n
-    coefficient of (x; r)_k / (t x; r)_k with r = q^-2, over the one
-    denominator ``den``.  That coefficient is
+    Row n holds the (power of x, Laurent coefficient) pairs of the t^n
+    coefficient of (x; r)_k / (t x; r)_k with r = q^-2.  That coefficient is
 
         x^n h_n(1, r, ..., r^(k-1)) (x; r)_k,   h_n(1, ..., r^(k-1)) = [n+k-1, n]_r,
 
     a polynomial of degree k + n in x (Andrews, *The Theory of Partitions*,
     ch. 3, for h_n), with the coefficients of (x; r)_k from ``_poch``.
-    Every coefficient is a polynomial in r = s^-4, so ``den`` is s^(4 top),
-    top the highest power of r, and the numerator of r^e is
-    s^(4 (top - e)).  The factor (x; r)_k vanishes at
-    x = q^0, ..., q^2(k-1), so the polynomial reads zero on columns m < k.
+    Every coefficient is a polynomial in r = s^-4, so r^e is the exponent
+    -4e of a Laurent numerator and the table has no denominator.  The
+    factor (x; r)_k vanishes at x = q^0, ..., q^2(k-1), so the polynomial
+    reads zero on columns m < k.
     """
     poch = _poch(k)
     rows = []
     for n in range(order + 1):
         h = _gaussian(n + k - 1, n)
-        rows.append([(n + i, _pmul(h, c)) for i, c in enumerate(poch)] if h else [])
-    top = max(e for row in rows for _, c in row for e in c)
-    exps = _exponents(4 * top)
-    rows = tuple(tuple((p, {exps[4 * (top - e)]: v for e, v in c.items()}) for p, c in row) for row in rows)
-    return rows, ({exps[4 * top]: 1} if top else _ONE_P)
+        rows.append(tuple(
+            (n + i, _shifted({-4 * e: v for e, v in _pmul(h, c).items()})) for i, c in enumerate(poch) if h
+        ))
+    return tuple(rows)
 
 
 def _over_one_den(values: list) -> tuple:
@@ -261,7 +260,7 @@ def _read(num_rows: list, den: dict, m: int, order: int) -> TSeries:
 @lru_cache(maxsize=None)
 def _column_value(k: int, m: int, order: int) -> TSeries:
     """(q^2m; q^-2)_k / (t q^2m; q^-2)_k expanded in t: ``_column_poly`` read at x = q^2m."""
-    return _read(*_column_poly(k, order), m, order)
+    return _read(_column_poly(k, order), _ONE_P, m, order)
 
 
 @lru_cache(maxsize=None)
@@ -271,10 +270,10 @@ def _column_inverse(k: int, m: int, order: int) -> tuple:
     P = (t x; r)_k truncated and D = (x; r)_k, with x = q^2m and r = q^-2,
     both read off ``_poch(k)``: the t^i coefficient of P is its x^i
     coefficient times x^i, and D is the sum of those.  x^i r^e is
-    s^(4(mi - e)), a power of s since k <= m, so P has polynomial
-    coefficients and D is an {exponent: int} polynomial with constant term
-    1.  Dividing by D is left to the caller, so a Laurent value over D is
-    one exact division (``scalar._div_poly``).
+    s^(4(mi - e)), with a positive exponent for i >= 1 since k <= m, so D
+    is a polynomial with constant term 1, the shape of a denominator.
+    Dividing by D is left to the caller, so a Laurent value over D is one
+    exact division (``scalar._div_poly``).
     """
     exps = _exponents(4 * m * k)
     terms = [{exps[4 * (m * i - e)]: c for e, c in poly.items()} for i, poly in enumerate(_poch(k))]
@@ -294,9 +293,9 @@ def _image(series, M: int, order: int) -> FockOp:
     several terms, the t^N coefficient of every column is one polynomial in
     x = q^2m: coefficient times ``_column_poly`` entry, summed once per power
     of x over the terms with n <= N.  The coefficients go over one common
-    denominator once (``_over_one_den``) and the tables over the largest of
-    their powers of s, so the sums are integer multiply-adds into
-    {s-exponent: int} dicts, with no QScalar and no gcd.  Most of what
+    denominator once (``_over_one_den``), and the tables have none, so the
+    sums are integer multiply-adds into {s-exponent: int} dicts, with no
+    QScalar and no gcd.  Most of what
     they accumulate cancels (75% of the entries at T = 3 over the 81
     certification pairs), so the zero entries, and the powers of x left
     with none, are dropped once, before any column is read.  Each column is
@@ -319,15 +318,9 @@ def _image(series, M: int, order: int) -> FockOp:
                 entries[(m + d, m)] = TSeries((ZERO,) * n + (cv if unit else tuple(v * c for v in cv)), order)
             continue
         nums, den = _over_one_den([c for _, _, c in terms])
-        tables = [_column_poly(k, order) for _, k, _ in terms]
-        # every table is over a power of s: bring them all over the largest
-        top = max(min(tden) for _, tden in tables)
         rows: list = [{} for _ in range(order + 1)]
-        for (n, _, _), num, (table, tden) in zip(terms, nums, tables):
-            shift = top - min(tden)
-            if shift:
-                num = {e + shift: c for e, c in num.items()}
-            for row, trow in zip(rows[n:], table):
+        for (n, k, _), num in zip(terms, nums):
+            for row, trow in zip(rows[n:], _column_poly(k, order)):
                 for p, tnum in trow:
                     acc = row.setdefault(p, {})
                     get = acc.get
@@ -343,8 +336,6 @@ def _image(series, M: int, order: int) -> FockOp:
                 if acc:
                     kept.append((p, acc))
             num_rows.append(kept)
-        if top:
-            den = {e + top: c for e, c in den.items()}
         for m in range(min(k for _, k, _ in terms), last + 1):
             entries[(m + d, m)] = _read(num_rows, den, m, order)
     return FockOp(M, order, entries, max(diagonals, default=0))

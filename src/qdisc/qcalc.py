@@ -27,7 +27,7 @@ to the tensor square, and the multiplication map ``m0``.
 from __future__ import annotations
 
 from .qpoly import NCPoly, TensorPoly, _add_terms, _normal_block
-from .scalar import _ONE_P, ONE, QScalar, _exponents
+from .scalar import ONE, QScalar, _exponents
 
 
 def _qnum(n: int, m: int, n2: int = 1) -> QScalar:
@@ -35,11 +35,12 @@ def _qnum(n: int, m: int, n2: int = 1) -> QScalar:
 
     With Q = q^2 = s^4 the coefficient of Q^e in [n]_Q [n2]_Q counts the
     a < n, b < n2 with a + b = e: min(e + 1, n, n2, n + n2 - 1 - e).  The
-    constant term is 1, so over s^4m the pair is already canonical.
+    factor q^-2m = s^-4m shifts the exponents down, so the value is a
+    Laurent numerator over 1, canonical as it stands.
     """
     exps = _exponents(4 * max(n + n2 - 2, m))
-    num = {exps[4 * e]: min(e + 1, n, n2, n + n2 - 1 - e) for e in range(n + n2 - 1)}
-    return QScalar(num, {exps[4 * m]: 1} if m else _ONE_P, _canonical=True)
+    num = {exps[4 * (e - m)]: min(e + 1, n, n2, n + n2 - 1 - e) for e in range(n + n2 - 1)}
+    return QScalar(num, None, _canonical=True)
 
 
 def d_partial(f: NCPoly, side: str, variable: str) -> NCPoly:

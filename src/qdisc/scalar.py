@@ -6,17 +6,18 @@ deformation parameter ``q`` is ``s**2``, so half-integer powers of ``q``
 stay polynomial.  On top of Q(s) sits :class:`TSeries`, a power series in a
 second formal parameter ``t`` truncated at a run-wide order.
 
-By Gauss's lemma every value of Q(s) is N/D with N and D in Z[s], so
-polynomial coefficients are plain Python ``int``s throughout, and every
-value has one canonical pair.  One routine, ``_canonical``, brings a pair
-there: a monomial denominator c s^E shares with N only s^min(val(N), E)
-and integer content, so one shift and one content division do; any other
-denominator takes the gcd, a primitive pseudo-remainder sequence over Z[s]
-(W. S. Brown, "On Euclid's Algorithm and the Computation of Polynomial
-Greatest Common Divisors", J. ACM 18, 1971).  A
-:class:`fractions.Fraction` appears only at the edges: rational input has
-its denominators cleared, and the text divides by the leading coefficient
-of the denominator when it prints.
+By Gauss's lemma every value of Q(s) is N/D with N a Laurent polynomial in
+Z[s, 1/s] and D a polynomial in Z[s] with D(0) != 0, so polynomial
+coefficients are plain Python ``int``s throughout, and every value has one
+canonical pair.  Nearly every coefficient the package builds is Laurent:
+its numerator over 1, whose arithmetic is that of the numerators alone.  A
+constant denominator, as in 1/7, costs one content division.  Any other
+denominator takes the gcd over Q[s, 1/s], a primitive pseudo-remainder
+sequence over Z[s] of the parts prime to s (W. S. Brown, "On Euclid's
+Algorithm and the Computation of Polynomial Greatest Common Divisors",
+J. ACM 18, 1971).  A :class:`fractions.Fraction` appears only at the edges:
+rational input has its denominators cleared, and the text divides by the
+leading coefficient of the denominator when it prints.
 
 There is no floating point anywhere: numeric instantiation substitutes an
 exact rational for ``s`` and returns a :class:`fractions.Fraction`.
@@ -30,8 +31,8 @@ from typing import Iterable, Union
 
 
 # ---------------------------------------------------------------------------
-# sparse univariate polynomials over Z: {exponent: int coefficient}, no zero
-# values
+# sparse Laurent polynomials over Z: {exponent: int coefficient}, no zero
+# values; a denominator is one with exponents >= 0 and a constant term
 # ---------------------------------------------------------------------------
 
 _F0 = Fraction(0)
@@ -52,18 +53,28 @@ def _pneg(a: dict) -> dict:
     return {e: -c for e, c in a.items()}
 
 
-# One shared int object per exponent: ints above 256 are not cached by the
-# interpreter, and memoized products would otherwise keep a separate
-# exponent object in every dict entry.  A dict {e: e}, so that a negative
-# or too large exponent raises KeyError rather than wrapping round.
-_EXPONENTS: dict = {}
+# One shared int object per exponent: ints outside -5..256 are not cached
+# by the interpreter, and memoized products would otherwise keep a separate
+# exponent object in every dict entry.  A dict {e: e}, so that an exponent
+# outside the table raises KeyError rather than wrapping round.
+_EXPONENTS: dict = {0: 0}
 
 
-def _exponents(top: int) -> dict:
-    """The shared exponent objects, keyed by themselves, covering 0..top."""
-    if top >= len(_EXPONENTS):
-        _EXPONENTS.update((e, e) for e in range(len(_EXPONENTS), top + 1))
+def _exponents(bound: int) -> dict:
+    """The shared exponent objects, keyed by themselves, covering -bound..bound."""
+    top = len(_EXPONENTS) // 2
+    if bound > top:
+        _EXPONENTS.update((x, x) for e in range(top + 1, bound + 1) for x in (e, -e))
     return _EXPONENTS
+
+
+def _shifted(a: dict, k: int = 0, c: int = 1) -> dict:
+    """c s^k a without its zero values, keyed on the shared exponent objects."""
+    try:
+        return {_EXPONENTS[e + k]: v * c for e, v in a.items() if v}
+    except KeyError:  # the table grows on a miss, so a hit needs no bound taken first
+        _exponents(max(max(a), -min(a)) + abs(k))
+        return {_EXPONENTS[e + k]: v * c for e, v in a.items() if v}
 
 
 def _pmul(a: dict, b: dict) -> dict:
@@ -75,24 +86,14 @@ def _pmul(a: dict, b: dict) -> dict:
         ((eb, cb),) = b.items()
         if not eb:  # a constant keeps a's exponent objects
             return {ea: ca * cb for ea, ca in a.items()}
-        exps = _exponents(max(a) + eb)
-        return {exps[ea + eb]: ca * cb for ea, ca in a.items()}
-    exps = _exponents(max(a) + max(b))
+        return _shifted(a, eb, cb)
     out: dict = {}
     get = out.get
     for eb, cb in b.items():
         for ea, ca in a.items():
             e = ea + eb
             out[e] = get(e, 0) + ca * cb
-    return {exps[e]: c for e, c in out.items() if c}
-
-
-def _pdeg(a: dict) -> int:
-    return max(a) if a else -1
-
-
-def _pval(a: dict) -> int:
-    return min(a) if a else 0
+    return _shifted(out)
 
 
 def _psubmul(r: dict, factor, shift: int, b: dict) -> None:
@@ -107,29 +108,29 @@ def _psubmul(r: dict, factor, shift: int, b: dict) -> None:
 
 
 def _pquo(a: dict, g: dict) -> dict | None:
-    """a / g when g divides a in Z[s], else None: long division with a remainder check.
+    """a / g when g divides a in Z[s, 1/s], else None, for a nonzero and g(0) != 0.
 
-    After a gcd, g is primitive and divides a over Q, so by Gauss's lemma
-    the quotient lies in Z[s] and is always found.
+    Long division from the top with a remainder check.  The quotient runs
+    from s^(deg a - deg g) down to s^(val a), so the loop stops at
+    val(a) + deg(g).  After a gcd, g is primitive and divides a over Q, so
+    by Gauss's lemma the quotient lies in Z[s, 1/s] and is always found.
     """
     if g == _ONE_P:
         return a
     dg = max(g)
     lg = g[dg]
-    if len(g) == 1 and lg == 1:  # s^dg: one shift
-        return {e - dg: c for e, c in a.items()} if not a or min(a) >= dg else None
-    exps = _exponents(_pdeg(a))
+    low, top = min(a), max(a)
     q: dict = {}
     r = dict(a)
-    for dr in range(_pdeg(r), dg - 1, -1):
+    for dr in range(top, low + dg - 1, -1):
         lr = r.get(dr)
         if lr is not None:
             factor, rest = divmod(lr, lg)
             if rest:
                 return None
-            q[exps[dr - dg]] = factor
+            q[dr - dg] = factor
             _psubmul(r, factor, dr - dg, g)
-    return None if r else q
+    return None if r else _shifted(q)
 
 
 def _pprimitive(a: dict) -> dict:
@@ -151,7 +152,7 @@ def _pprem(a: dict, b: dict) -> dict:
     db = max(b)
     lb = b[db]
     r = dict(a)
-    for dr in range(_pdeg(r), db - 1, -1):
+    for dr in range(max(a), db - 1, -1):
         lr = r.get(dr)
         if lr is None:
             continue
@@ -163,21 +164,24 @@ def _pprem(a: dict, b: dict) -> dict:
     return r
 
 
-def _pgcd(a: dict, b: dict) -> dict:
-    """The gcd over Q of a and b, not both zero, as a primitive polynomial
-    with positive leading coefficient: a primitive remainder sequence.
+def _sfree(a: dict) -> dict:
+    """a divided by s^val(a): its part prime to s, a polynomial with a constant term."""
+    low = min(a)
+    return {e - low: c for e, c in a.items()} if low else a
 
+
+def _pgcd(a: dict, b: dict) -> dict:
+    """The gcd over Q[s, 1/s] of nonzero a and b, as a primitive polynomial
+    with a constant term and a positive leading coefficient.
+
+    s is a unit there, so a monomial shares nothing with any value and the
+    gcd is that of the parts prime to s: a primitive remainder sequence.
     The content is removed after every step, so the coefficients stay those
     of Z[s] divisors of the inputs.
     """
-    if not a:
-        return _pprimitive(b)
-    if not b:
-        return _pprimitive(a)
-    # monomial fast path: gcd(p, c*s^k) = s^min(val p, k)
     if len(a) == 1 or len(b) == 1:
-        return {min(_pval(a), _pval(b)): 1}
-    a, b = _pprimitive(a), _pprimitive(b)
+        return _ONE_P
+    a, b = _pprimitive(_sfree(a)), _pprimitive(_sfree(b))
     if max(a) < max(b):
         a, b = b, a
     while b:
@@ -197,14 +201,6 @@ def _normal(num: dict, den: dict) -> tuple[dict, dict]:
     if g == 1:
         return num, den
     return {e: c // g for e, c in num.items()}, {e: c // g for e, c in den.items()}
-
-
-def _reduce(num: dict, den: dict) -> tuple[dict, dict]:
-    """The canonical pair of num/den, for num and den in Z[s] and den nonzero."""
-    if not num:
-        return {}, _ONE_P
-    g = _pgcd(num, den)
-    return _normal(_pquo(num, g), _pquo(den, g))
 
 
 def _peval(a: dict, x: Fraction) -> Fraction:
@@ -258,25 +254,25 @@ ScalarLike = Union["QScalar", int, Fraction]
 class QScalar:
     """A rational function in ``s`` over Q, kept in one canonical form.
 
-    ``num`` and ``den`` are ``{exponent: int}`` dicts with gcd(num, den) = 1
-    over Q, a positive leading coefficient of ``den``, and integer
-    coefficients that together have gcd 1; zero is ``{}`` over ``{0: 1}``.
-    By Gauss's lemma every value has exactly one such form, so equality is
-    plain syntactic comparison, and a constant p/q, stored as ``{0: p}``
-    over ``{0: q}``, hashes like ``Fraction(p, q)``.  Every denominator the
-    package builds itself has leading coefficient 1, and then the form is
-    the monic one; only rational input such as ``1/2`` or ``1/(2 - 3*q)``
-    gives a non-unit leading coefficient, which the text divides out (see
-    :meth:`monic`).  When both denominators are monomials c s^E, as for
-    Laurent values, 1/7 or 1/(2q), a product or sum is one pair over a
-    monomial and ``_canonical`` finishes it with a shift and no gcd.
-    Otherwise products cancel gcd(a, d) and gcd(c, b) before multiplying
-    a/b by c/d, and sums with different denominators only test the gcd of
-    the two denominators against the new numerator.  Values are immutable,
-    so arithmetic may return an operand itself
-    (x + 0 is x).  Conjugation is the identity (the coefficient field models
-    real-valued functions of real q), so the algebra involutions never touch
-    scalars.
+    ``num`` is an ``{exponent: int}`` dict whose exponents may be negative,
+    an element of Z[s, 1/s].  ``den`` is a polynomial with a nonzero
+    constant term and a positive leading coefficient; its coefficients and
+    those of ``num`` together have gcd 1, and gcd(num, den) = 1 over
+    Q[s, 1/s].  Zero is ``{}`` over ``{0: 1}``.  By Gauss's lemma every
+    value has exactly one such form, so equality is plain syntactic
+    comparison, and a constant p/q, stored as ``{0: p}`` over ``{0: q}``,
+    hashes like ``Fraction(p, q)``.  A value is Laurent exactly when ``den
+    == {0: 1}``, and every zero-free dict over ``{0: 1}`` is canonical as it
+    stands, so Laurent sums and products are those of the numerators.
+    Only rational input such as ``1/2`` or ``1/(2 - 3*q)`` gives ``den`` a
+    leading coefficient other than 1, which the text divides out (see
+    :meth:`monic`).  Products over other denominators cancel gcd(a, d) and
+    gcd(c, b) before multiplying a/b by c/d, and sums with different
+    denominators only test the gcd of the two denominators against the new
+    numerator.  Values are immutable, so arithmetic may return an operand
+    itself (x + 0 is x).  Conjugation is the identity (the coefficient
+    field models real-valued functions of real q), so the algebra
+    involutions never touch scalars.
     """
 
     __slots__ = ("num", "den", "_hash")
@@ -291,7 +287,8 @@ class QScalar:
             den = {e: int(c * m) for e, c in den.items() if c}
             if not den:
                 raise ZeroDivisionError("QScalar with zero denominator")
-            num, den = _reduce(num, den)
+            x = _mul_reduced(num, _ONE_P, _ONE_P, den)
+            num, den = x.num, x.den
         self.num = num
         self.den = den
         self._hash = None
@@ -308,10 +305,8 @@ class QScalar:
 
     @staticmethod
     def s_power(n: int) -> "QScalar":
-        """s**n, with negative n landing in the denominator."""
-        if n >= 0:
-            return QScalar({n: 1}, None, _canonical=True)
-        return QScalar(dict(_ONE_P), {-n: 1}, _canonical=True)
+        """s**n, a Laurent monomial for any integer n."""
+        return QScalar({n: 1}, None, _canonical=True)
 
     @staticmethod
     def q_power(n: int) -> "QScalar":
@@ -339,13 +334,6 @@ class QScalar:
         b, d = self.den, other.den
         if b == d:
             return _canonical(_padd(self.num, other.num), b)
-        if len(b) == 1 and len(d) == 1:
-            # a/(cb s^eb) + c/(cd s^ed): both numerators over cb cd s^top
-            ((eb, cb),), ((ed, cd),) = b.items(), d.items()
-            top = max(eb, ed)
-            a = self.num if eb == top and cd == 1 else _pmul(self.num, {top - eb: cd})
-            c = other.num if ed == top and cb == 1 else _pmul(other.num, {top - ed: cb})
-            return _canonical(_padd(a, c), {top: cb * cd})
         # a/b + c/d = (a d' + c b') / (b d') with g = gcd(b, d), b = g b', d = g d';
         # only gcd(numerator, g) can cancel
         g = _pgcd(b, d)
@@ -380,11 +368,8 @@ class QScalar:
             return NotImplemented
         b, d = self.den, other.den
         if len(b) == 1 and len(d) == 1:
-            num = _pmul(self.num, other.num)
-            if d == _ONE_P:
-                return _canonical(num, b)
-            ((eb, cb),), ((ed, cd),) = b.items(), d.items()
-            return _canonical(num, {eb + ed: cb * cd})
+            # constant denominators: no gcd, at most a content division
+            return _canonical(_pmul(self.num, other.num), b if d == _ONE_P else _pmul(b, d))
         return _mul_reduced(self.num, b, other.num, d)
 
     __rmul__ = __mul__
@@ -426,7 +411,7 @@ class QScalar:
         h = self._hash
         if h is None:
             num, den = self.num, self.den
-            if _pdeg(num) <= 0 and _pdeg(den) == 0:
+            if len(den) == 1 and num.keys() <= {0}:
                 # a constant hashes like the equal int or Fraction
                 h = hash(Fraction(num.get(0, 0), den[0]))
             else:
@@ -436,18 +421,27 @@ class QScalar:
 
     # -- output -------------------------------------------------------------
 
+    def _poly(self) -> tuple[dict, dict]:
+        """(num s^v, den s^v), v = max(0, -val num): the reduced pair over Z[s] that the text reads."""
+        num, den = self.num, self.den
+        v = -min(num, default=0)
+        if v <= 0:
+            return num, den
+        return {e + v: c for e, c in num.items()}, {e + v: c for e, c in den.items()}
+
     def monic(self) -> tuple[dict, dict]:
-        """(num, den) divided by lc(den): the form the text shows.
+        """The polynomial pair (:meth:`_poly`) divided by lc(den): the form the text shows.
 
         The coefficients are ``int``s or ``Fraction``s; this is for
         presentation only.
         """
-        lc = self.den[max(self.den)]
+        num, den = self._poly()
+        lc = den[max(den)]
         if lc == 1:
-            return self.num, self.den
+            return num, den
         return (
-            {e: Fraction(c, lc) for e, c in self.num.items()},
-            {e: Fraction(c, lc) for e, c in self.den.items()},
+            {e: Fraction(c, lc) for e, c in num.items()},
+            {e: Fraction(c, lc) for e, c in den.items()},
         )
 
     def __str__(self) -> str:
@@ -461,60 +455,55 @@ class QScalar:
 
 
 def _canonical(num: dict, den: dict) -> "QScalar":
-    """num/den in canonical form, for num and den in Z[s] and den nonzero.
+    """num/den in canonical form, for num in Z[s, 1/s] and den in Z[s] with den(0) != 0.
 
-    A denominator of 1 leaves num as it is.  A monomial c s^E shares with
-    num only s^min(val(num), E) and integer content, so one shift (keyed on
-    the shared exponent objects, as ``_pmul`` gives them) and ``_normal``
-    finish it with no gcd.  Any other denominator takes the gcd
-    (``_reduce``).
+    Over 1, num is canonical as it stands; over a constant, ``_normal``
+    divides out the content; any other denominator takes the gcd.
     """
     if den == _ONE_P:
         return QScalar(num, _ONE_P, _canonical=True)
-    if len(den) > 1:
-        return QScalar(*_reduce(num, den), _canonical=True)
-    if not num:
-        return ZERO
-    ((top, c),) = den.items()
-    low = min(min(num), top)
-    exps = _exponents(max(max(num), top))
-    if low:
-        num = {exps[e - low]: v for e, v in num.items()}
-    if c == 1:
-        return QScalar(num, {exps[top - low]: 1} if top > low else _ONE_P, _canonical=True)
-    return QScalar(*_normal(num, {exps[top - low]: c}), _canonical=True)
+    if len(den) > 1 and num:
+        g = _pgcd(num, den)
+        num, den = _pquo(num, g), _pquo(den, g)
+    return QScalar(*_normal(num, den), _canonical=True) if num else ZERO
 
 
 def _div_poly(x: "QScalar", d: dict) -> "QScalar":
     """x / d for a nonzero polynomial d in Z[s].
 
-    When x has a monomial denominator and d divides its numerator in Z[s],
-    the quotient is one exact division and ``_canonical``.  For a d prime
-    to s, as (Q^m; Q^-1)_k is, the division is exact exactly when the
-    quotient is Laurent.  Otherwise the general quotient runs, with its
-    gcds.
+    When x has a constant denominator and d divides its numerator in
+    Z[s, 1/s], the quotient over that denominator is canonical as it
+    stands: one exact division and no gcd.  For a d prime to s, as
+    (Q^m; Q^-1)_k is, the division of a Laurent x is exact exactly when the
+    quotient is Laurent.  Otherwise, and for a d with a factor s, the
+    general quotient runs, with its gcds.
     """
     if not x.num or d == _ONE_P:
         return x
     if len(x.den) == 1:
         quo = _pquo(x.num, d)
         if quo is not None:
-            return _canonical(quo, x.den)
+            return QScalar(quo, x.den, _canonical=True)
     return _mul_reduced(x.num, x.den, _ONE_P, d)
 
 
 def _mul_reduced(a: dict, b: dict, c: dict, d: dict) -> "QScalar":
-    """(a/b) * (c/d) for a/b and c/d each reduced over Q.
+    """(a/b) * (c/d) for a/b and c/d each reduced over Q[s, 1/s].
 
     Cancelling gcd(a, d) and gcd(c, b) first leaves a reduced product, so
-    no gcd of the full product is needed; b and d may have any sign or
-    integer content, which ``_normal`` fixes last.
+    no gcd of the full product is needed.  b and d may be any nonzero
+    Laurent polynomials, of any sign and integer content: this is the one
+    place where a power of s leaves a denominator for the numerator, and
+    ``_normal`` fixes the sign and content last.
     """
     if not a or not c:
         return ZERO
     g1, g2 = _pgcd(a, d), _pgcd(c, b)
     num = _pmul(_pquo(a, g1), _pquo(c, g2))
     den = _pmul(_pquo(b, g2), _pquo(d, g1))
+    low = min(den)
+    if low:
+        num, den = _shifted(num, -low), _shifted(den, -low)
     return QScalar(*_normal(num, den), _canonical=True)
 
 
@@ -528,7 +517,7 @@ def _coerce(x) -> "QScalar":
     return NotImplemented
 
 
-ZERO = QScalar({})
+ZERO = QScalar({}, None, _canonical=True)
 ONE = QScalar.from_int(1)
 S = QScalar.s_power(1)
 Q = QScalar.q_power(1)
@@ -537,10 +526,11 @@ Q = QScalar.q_power(1)
 def eval_numeric(x: QScalar, s0: Fraction) -> Fraction:
     """Substitute the exact rational s0 for s.  Raises on a pole."""
     s0 = Fraction(s0)
-    den = _peval(x.den, s0)
+    num, den = x._poly()
+    den = _peval(den, s0)
     if den == 0:
         raise ZeroDivisionError(f"pole at s = {s0}")
-    return _peval(x.num, s0) / den
+    return _peval(num, s0) / den
 
 
 # ---------------------------------------------------------------------------

@@ -92,8 +92,8 @@ def pk_images(op, f, order: int) -> list:
         (1 - Q^(k+1)) p_(k+1) = ((1-Q)^2 x + 1 + Q - 2 Q^(k+1)) p_k - Q (1 - Q^k) p_(k-1).
 
     It runs as written, dividing each step by the one factor 1 - Q^(k+1).
-    On a sector of ``box`` every image has a monomial denominator, so each gcd
-    runs against that one binomial; for ``pk`` the division is not exact.
+    On a sector of ``box`` every image is Laurent, over the denominator 1, so
+    each gcd runs against that one binomial; for ``pk`` the division is not exact.
     ``f`` needs ``+``, ``-`` and ``.scale``.
     """
     return _extend_images(op, [f], order)

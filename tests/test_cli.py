@@ -407,6 +407,22 @@ def test_clear_caches_leaves_oracle_and_symmetry_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+def test_closed_stdout_exits_2_without_a_traceback():
+    src = os.path.dirname(os.path.dirname(qdisc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "qdisc.cli", "pk", "3", "--latex"],
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    proc.stdout.close()  # the reader is gone before the first byte
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""
+
+
 def test_every_public_name_resolves():
     import qdisc.fockrep
     import qdisc.uqsl2

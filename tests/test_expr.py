@@ -59,6 +59,23 @@ def test_syntax_error_carries_position():
     assert err.value.position == 3
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("", "unexpected end of input (at position 0)"),
+        ("z +", "unexpected end of input (at position 3)"),
+        ("2*", "unexpected end of input (at position 2)"),
+        ("(z", "expected ')', found end of input (at position 2)"),
+        ("z^", "expected 'int', found end of input (at position 2)"),
+    ],
+)
+def test_end_of_input_is_named(text, message):
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert str(err.value) == message
+    assert err.value.position == len(text)
+
+
 def test_unknown_symbol():
     with pytest.raises(ParseError):
         parse("w + 1")

@@ -234,8 +234,7 @@ def test_q_map_drops_entries_whose_terms_cancel():
 
 def _column_rows(k: int, order: int) -> list:
     """The rows of ``_column_poly(k, order)`` as (power of x, QScalar) pairs."""
-    rows, den = _column_poly(k, order)
-    return [[(p, QScalar(num, den)) for p, num in row] for row in rows]
+    return [[(p, QScalar(num, None, _canonical=True)) for p, num in row] for row in _column_poly(k, order)]
 
 
 def test_column_poly_reads_the_column_series():
@@ -257,13 +256,16 @@ def test_column_poly_reads_the_column_series():
             assert _column_value(k, m, 2).coeffs == want.coeffs[:3], (k, m)
 
 
-def test_column_poly_denominator_is_a_monic_power_of_s():
-    # the diagonal sums in _image shift every table to one power of s
+def test_column_poly_rows_are_laurent_numerators():
+    # the diagonal sums in _image add the table entries with no denominator:
+    # each is a zero-free integer dict in powers of r = s^-4, canonical over 1
     for k in range(9):
         for order in range(9):
-            rows, den = _column_poly(k, order)
-            assert len(den) == 1 and list(den.values()) == [1], (k, order, den)
-            assert all(type(c) is int for row in rows for _, num in row for c in num.values())
+            for row in _column_poly(k, order):
+                for _, num in row:
+                    assert num and all(type(c) is int and c for c in num.values()), (k, order, num)
+                    assert all(e <= 0 and e % 4 == 0 for e in num), (k, order, num)
+                    assert QScalar(num) == QScalar(num, None, _canonical=True)
 
 
 def _several_term_series(order: int) -> StarSeries:
@@ -393,12 +395,12 @@ def test_covariant_symbol_matches_qbinomial_oracle_on_q_map_images(rng, rand_ncp
     for _ in range(4):
         A = q_map(star(rand_ncpoly(rng, 2, 3), rand_ncpoly(rng, 2, 3), T), M)
         assert covariant_symbol(A, 6) == qbinomial_covariant_symbol(A, 6)
-    # negative powers of q: Laurent values over a power of s that must survive the division
+    # negative powers of q: Laurent values with negative exponents that must survive the division
     f = NCPoly.monomial(2, 1, QScalar.q_power(-1)) + NCPoly.monomial(0, 1, QScalar.q_power(-3))
     A = q_map(star(f, NCPoly.monomial(1, 1, QScalar.q_power(-2)), T), M)
     sym = covariant_symbol(A, 6)
     assert sym == qbinomial_covariant_symbol(A, 6)
-    assert any(c.den != {0: 1} for ts in sym.entries.values() for c in ts.coeffs)
+    assert any(c.num and min(c.num) < 0 for ts in sym.entries.values() for c in ts.coeffs)
 
 
 def test_covariant_symbol_matches_qbinomial_oracle_off_the_laurent_values():

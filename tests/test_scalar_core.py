@@ -3,8 +3,12 @@
 sympy serves as an independent Q(s) implementation here only; the package
 itself never imports it.  The properties cover inputs carrying Fractions
 (whose denominators are cleared on input), non-unit leading coefficients,
-and the one canonical form: ``int`` coefficients only, gcd(num, den) = 1
-over Q, a positive leading coefficient of ``den`` and integer content 1.
+and the one canonical form: ``int`` coefficients only, a numerator in
+Z[s, 1/s] over a denominator with a constant term, gcd(num, den) = 1 over
+Q[s, 1/s], a positive leading coefficient of ``den`` and integer content 1.
+sympy's reduced fractions are pairs over Z[s], so they are compared with
+the polynomial view ``_poly()``, which multiplies both halves by the power
+of s that clears the numerator's negative exponents.
 """
 
 from fractions import Fraction
@@ -15,7 +19,7 @@ import sympy
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from qdisc import NCPoly, QScalar, TSeries, parse_scalar, star
+from qdisc import NCPoly, QScalar, TSeries, eval_numeric, parse_scalar, star
 from qdisc.scalar import (
     _canonical,
     _div_poly,
@@ -26,7 +30,6 @@ from qdisc.scalar import (
     _pmul,
     _pquo,
     _pstr,
-    _reduce,
 )
 
 from conftest import pstr_reference
@@ -92,6 +95,7 @@ def assert_int_coefficients(x: QScalar):
 
 def assert_canonical(x: QScalar):
     assert_int_coefficients(x)
+    assert min(x.den) == 0 and x.den[0] != 0, x
     assert x.den[max(x.den)] > 0, x
     assert gcd(*x.num.values(), *x.den.values()) == 1, x
 
@@ -112,7 +116,7 @@ OPS = {
 def test_arithmetic_matches_sympy_cancel(a, b, op):
     assume(op != "/" or not b.is_zero())
     got = OPS[op](a, b)
-    assert (got.num, got.den) == canonical_from_sympy(OPS[op](to_sympy(a), to_sympy(b)))
+    assert got._poly() == canonical_from_sympy(OPS[op](to_sympy(a), to_sympy(b)))
     assert_canonical(got)
 
 
@@ -121,16 +125,16 @@ def test_arithmetic_matches_sympy_cancel(a, b, op):
 def test_integer_inputs_match_sympy_cancel(a, b):
     sa, sb = to_sympy(a), to_sympy(b)
     for got, expected in ((a * b, sa * sb), (a + b, sa + sb)):
-        assert (got.num, got.den) == canonical_from_sympy(expected)
+        assert got._poly() == canonical_from_sympy(expected)
         assert_canonical(got)
 
 
-# -- Laurent values: a monic power of s as the denominator --------------------------------
+# -- Laurent values: numerators in Z[s, 1/s] over 1 --------------------------------------
 
 
 @st.composite
 def laurent_qscalars(draw):
-    """num / s^E over Z, with numerators that s may divide, so the power must cancel."""
+    """num / s^E over Z, with numerators that s may divide, so part of the power cancels."""
     low = draw(st.integers(min_value=0, max_value=3))
     num = {e + low: c for e, c in draw(_poly(False)).items()}
     return QScalar(num, {draw(st.integers(min_value=0, max_value=6)): 1})
@@ -147,7 +151,7 @@ def other_den_qscalars(draw):
 
 def _check_against_sympy_and_general_product(a, b, op):
     got = OPS[op](a, b)
-    assert (got.num, got.den) == canonical_from_sympy(OPS[op](to_sympy(a), to_sympy(b)))
+    assert got._poly() == canonical_from_sympy(OPS[op](to_sympy(a), to_sympy(b)))
     assert_canonical(got)
     if op == "*":
         want = _mul_reduced(a.num, a.den, b.num, b.den)
@@ -157,7 +161,7 @@ def _check_against_sympy_and_general_product(a, b, op):
 @settings(max_examples=200, deadline=None)
 @given(laurent_qscalars(), laurent_qscalars(), st.sampled_from(["+", "-", "*"]))
 def test_laurent_arithmetic_matches_sympy_cancel(a, b, op):
-    assert len(a.den) == 1 and list(a.den.values()) == [1]
+    assert a.den == {0: 1}
     _check_against_sympy_and_general_product(a, b, op)
 
 
@@ -178,17 +182,17 @@ def test_laurent_power_of_s_cancels():
     s = QScalar.s_power(1)
     # s^2 * s^-3 = 1/s, and (1 + s)/s^2 + (s - 1)/s^2 = 2/s
     got = QScalar.s_power(2) * QScalar.s_power(-3)
-    assert (got.num, got.den) == ({0: 1}, {1: 1})
+    assert got._poly() == ({0: 1}, {1: 1})
     got = (1 + s) / s**2 + (s - 1) / s**2
-    assert (got.num, got.den) == ({0: 2}, {1: 1})
+    assert got._poly() == ({0: 2}, {1: 1})
     # (s + s^3)/s^2 = 1/s + s; a numerator s^4 cancels the whole power
     got = (s + s**3) * QScalar.s_power(-2)
-    assert (got.num, got.den) == ({0: 1, 2: 1}, {1: 1})
+    assert got._poly() == ({0: 1, 2: 1}, {1: 1})
     assert (s**4 * QScalar.s_power(-4)).den == {0: 1}
     # sums that cancel to zero leave the canonical zero
     x = (1 + s) / s**3
     for got in (x - x, x + (-x), x * s - (s + s**2) / s**3):
-        assert (got.num, got.den) == ({}, {0: 1})
+        assert got._poly() == ({}, {0: 1})
 
 
 def test_monomials_with_a_non_unit_lead_are_not_powers_of_s():
@@ -196,10 +200,64 @@ def test_monomials_with_a_non_unit_lead_are_not_powers_of_s():
     half_q = QScalar({0: 1}, {2: 2})
     seventh = QScalar.from_int(1) / 7
     s2 = QScalar.s_power(-2)
-    assert ((half_q * s2).num, (half_q * s2).den) == ({0: 1}, {4: 2})
-    assert ((half_q + s2).num, (half_q + s2).den) == ({0: 3}, {2: 2})
-    assert ((seventh * s2).num, (seventh * s2).den) == ({0: 1}, {2: 7})
-    assert ((seventh + s2).num, (seventh + s2).den) == ({0: 7, 2: 1}, {2: 7})
+    assert (half_q * s2)._poly() == ({0: 1}, {4: 2})
+    assert (half_q + s2)._poly() == ({0: 3}, {2: 2})
+    assert (seventh * s2)._poly() == ({0: 1}, {2: 7})
+    assert (seventh + s2)._poly() == ({0: 7, 2: 1}, {2: 7})
+
+
+# -- the Laurent form: negative exponents live in the numerator ----------------------------
+
+
+@st.composite
+def negative_laurent_qscalars(draw):
+    """Zero-free dicts with exponents in -8..6 over {0: 1}: canonical as they stand."""
+    raw = draw(st.dictionaries(st.integers(min_value=-8, max_value=6), _coeffs(False), max_size=4))
+    return QScalar({e: c for e, c in raw.items() if c}, None, _canonical=True)
+
+
+def _laurent_mix():
+    return st.one_of(negative_laurent_qscalars(), other_den_qscalars(), qscalars())
+
+
+@settings(max_examples=250, deadline=None)
+@given(_laurent_mix(), _laurent_mix(), st.sampled_from(sorted(OPS)))
+def test_laurent_form_invariants(a, b, op):
+    assume(op != "/" or not b.is_zero())
+    got = OPS[op](a, b)
+    assert got._poly() == canonical_from_sympy(OPS[op](to_sympy(a), to_sympy(b)))
+    assert_canonical(got)
+    # Laurent over Z exactly when the reduced denominator over Z[s] is a power of s
+    _, den = got._poly()
+    assert (got.den == {0: 1}) == (len(den) == 1 and list(den.values()) == [1])
+    assert parse_scalar(str(got)) == got
+    # the same value by other routes: equal, with equal hashes
+    routes = [QScalar(*got._poly())]
+    if op in "+*":
+        routes.append(OPS[op](b, a))
+    for other in routes:
+        assert (other.num, other.den) == (got.num, got.den)
+        assert hash(other) == hash(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_laurent_mix(), st.fractions(min_value=-5, max_value=5, max_denominator=6))
+def test_laurent_values_cancelling_to_a_constant_hash_like_the_fraction(x, c):
+    assume(not x.is_zero())
+    got = x * c / x
+    assert got == c
+    assert hash(got) == hash(c)
+    assert_canonical(got)
+
+
+@settings(max_examples=150, deadline=None)
+@given(negative_laurent_qscalars(), st.fractions(min_value=-3, max_value=3, max_denominator=5).filter(bool))
+def test_eval_numeric_reads_the_laurent_form(x, s0):
+    if x.num and min(x.num) < 0:
+        with pytest.raises(ZeroDivisionError, match="pole at s = 0"):
+            eval_numeric(x, Fraction(0))
+    want = to_sympy(x).subs(SYM_S, sympy.Rational(s0.numerator, s0.denominator))
+    assert eval_numeric(x, s0) == Fraction(str(want))
 
 
 # -- the canonical form over a monomial denominator -------------------------------------
@@ -215,17 +273,22 @@ def test_monomials_with_a_non_unit_lead_are_not_powers_of_s():
     st.integers(min_value=0, max_value=12),
 )
 def test_canonical_over_a_monomial_matches_the_gcd(num, low, content, share, c, E):
-    # numerators that s^low divides and whose content may share a factor with c; {} is zero
+    # num / (c s^E) is the Laurent numerator num s^-E over the constant c; numerators
+    # that s^low divides and whose content may share a factor with c; {} is zero
     factor = content * (c if share else 1)
     num = {e + low: v * factor for e, v in num.items()}
-    got = _canonical(num, {E: c})
-    assert (got.num, got.den) == _reduce(num, {E: c})
+    got = _canonical({e - E: v for e, v in num.items()}, {0: c})
+    want = QScalar(num, {E: c})  # the general constructor, with its gcds
+    assert (got.num, got.den) == (want.num, want.den)
+    assert got._poly() == canonical_from_sympy(to_sympy(QScalar(num, None, _canonical=True)) / (c * SYM_S**E))
+    assert (got.den == {0: 1}) == (not num or gcd(*num.values()) % c == 0)
     assert_canonical(got)
 
 
 # -- exact division by a polynomial -------------------------------------------------------
 
-# (q^4; q^-2)_1, (q^6; q^-2)_2 and divisors that are not of that shape
+# (q^4; q^-2)_1, (q^6; q^-2)_2 and divisors that are not of that shape; s - s^3 has a
+# factor s, which the exact division leaves to the general quotient
 DIVISORS = ({0: 1, 4: -1}, {0: 1, 4: -1, 8: -1, 12: 1}, {0: 2, 1: 1}, {1: 1, 3: -1})
 
 
@@ -329,12 +392,18 @@ def _primitive_sympy_gcd(a: dict, b: dict) -> dict:
     _poly(False, nonzero=True),
     _poly(False, nonzero=True),
     _poly(False, max_terms=3, nonzero=True),
+    st.integers(min_value=-6, max_value=6),
 )
-def test_z_gcd_matches_q_euclid(f, g, common):
-    # a shared factor makes the gcd nontrivial in most draws
+def test_z_gcd_matches_q_euclid(f, g, common, shift):
+    # a shared factor makes the gcd nontrivial in most draws; over Q[s, 1/s] s is a
+    # unit, so the gcd is sympy's with its power of s taken out, whatever the shift
     a, b = _pmul(f, common), _pmul(g, common)
+    want = _primitive_sympy_gcd(a, b)
+    want = {e - min(want): c for e, c in want.items()}
     got = _pgcd(a, b)
-    assert got == _primitive_sympy_gcd(a, b)
+    assert got == want
+    assert _pgcd(_pmul(a, {shift: 1}), b) == got
+    assert got[0] != 0
     assert got[max(got)] > 0
     assert gcd(*got.values()) == 1
 
@@ -460,8 +529,13 @@ def test_pstr_matches_reference_on_monic_forms(x):
 
 def test_exponent_table_raises_on_a_bad_index():
     exps = _exponents(8)
-    assert exps[8] == 8
-    with pytest.raises(KeyError):
-        exps[-1]
+    assert exps[8] == 8 and exps[-8] == -8
     with pytest.raises(KeyError):
         exps[len(exps)]
+    with pytest.raises(KeyError):
+        exps[-len(exps)]
+    # a product beyond the table extends it on both sides and keys on its objects
+    top = len(exps)
+    got = _pmul({-top: 1, 1: 1}, {-top: 2, 2: 1})
+    assert got == {-2 * top: 2, 1 - top: 2, 2 - top: 1, 3: 1}
+    assert all(_exponents(0)[e] is e for e in got)
