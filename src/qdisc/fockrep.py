@@ -14,14 +14,15 @@ With x = q^2m, the t^n coefficient of column m is a polynomial in x of
 degree k + n (``_column_poly``) whose coefficients are Laurent polynomials
 in s with no denominator, and x^p is the shift s^(4mp).  So ``q_map`` and
 ``i_op_poly`` group terms by diagonal j - k and sum the terms of one
-diagonal once per power of x and t-order, as integer multiply-adds over
-the one common denominator of the term coefficients.  Most of those sums
-cancel, so their zero entries are dropped once per diagonal; every column
-is what is left read at its x, one integer dict of shifted numerators over
-that denominator, with no product.  ``scalar._canonical`` brings it to
+diagonal once per power of x and t-order, by ``scalar._madd`` over the one
+common denominator of the term coefficients.  Most of those sums cancel,
+so their zero entries are dropped once per diagonal; every column is what
+is left read at its x, one integer dict of shifted numerators over that
+denominator, with no product.  ``scalar._canonical`` brings it to
 canonical form: as it stands over 1, by one content division over a
 constant, and by a gcd otherwise.  A diagonal with a single term scales
-the memoized column value instead.
+the memoized column value instead.  The operator product and the solve
+run on ``TSeries.__mul__``, whose Laurent kernel is the same ``_madd``.
 
 ``covariant_symbol`` inverts the picture (unique coefficients within a
 declared window): it multiplies by the numerator (t q^2m; q^-2)_k of the
@@ -39,7 +40,7 @@ from __future__ import annotations
 from functools import lru_cache, reduce
 
 from .qpoly import NCPoly, WindowedSeries, _add_terms
-from .scalar import _ONE_P, ZERO, QScalar, TSeries, _canonical, _div_poly, _exponents, _padd, _pmul, _shifted
+from .scalar import _ONE_P, ZERO, QScalar, TSeries, _canonical, _div_poly, _exponents, _madd, _padd, _pmul, _shifted
 from .star import StarSeries, star
 
 
@@ -294,14 +295,12 @@ def _image(series, M: int, order: int) -> FockOp:
     x = q^2m: coefficient times ``_column_poly`` entry, summed once per power
     of x over the terms with n <= N.  The coefficients go over one common
     denominator once (``_over_one_den``), and the tables have none, so the
-    sums are integer multiply-adds into {s-exponent: int} dicts, with no
-    QScalar and no gcd.  Most of what
-    they accumulate cancels (75% of the entries at T = 3 over the 81
-    certification pairs), so the zero entries, and the powers of x left
-    with none, are dropped once, before any column is read.  Each column is
-    that polynomial read at its x, with no product.  A term vanishes on
-    columns m < k, so the columns run from the smallest k of the diagonal
-    on.
+    sums are integer multiply-adds (``scalar._madd``) into {s-exponent: int}
+    dicts, with no QScalar and no gcd.  Most of what they accumulate
+    cancels, so the zero entries, and the powers of x left with none, are
+    dropped once, before any column is read.  Each column is that
+    polynomial read at its x, with no product.  A term vanishes on columns
+    m < k, so the columns run from the smallest k of the diagonal on.
     """
     diagonals: dict = {}
     for n, f in enumerate(series):
@@ -322,12 +321,7 @@ def _image(series, M: int, order: int) -> FockOp:
         for (n, k, _), num in zip(terms, nums):
             for row, trow in zip(rows[n:], _column_poly(k, order)):
                 for p, tnum in trow:
-                    acc = row.setdefault(p, {})
-                    get = acc.get
-                    for e2, c2 in num.items():
-                        for e1, c1 in tnum.items():
-                            e = e1 + e2
-                            acc[e] = get(e, 0) + c1 * c2
+                    _madd(row.setdefault(p, {}), tnum, num)
         num_rows = []
         for row in rows:
             kept = []
@@ -396,12 +390,12 @@ def covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
     coefficients lie outside the window and are honestly unknown).
 
     The new unknown is the residual of column m times its column inverse
-    P / D (``_column_inverse``): the residual times the t-polynomial P, on
-    the Laurent route of the ring, then each coefficient divided by the
-    polynomial D with one exact division (``scalar._div_poly``).  The
-    division falls back to the general quotient when D does not divide, as
-    for symbols with values such as 1/(1 - q).  A product by the column
-    value 1 of k = 0 is the other factor (``TSeries.__mul__``).
+    P / D (``_column_inverse``): the residual times the t-polynomial P,
+    then each coefficient divided by the polynomial D with one exact
+    division (``scalar._div_poly``).  These products take the integer
+    kernel of ``TSeries.__mul__`` when every coefficient is Laurent; a
+    value such as 1/(1 - q) takes ``QScalar`` arithmetic and, when D does
+    not divide, the general quotient.
     """
     order = A.order
     shifts = sorted({row - col for row, col in A.entries})
@@ -438,7 +432,8 @@ def berezin(j: int, k: int, window: int, M: int, order: int) -> WindowedSeries:
     zhat_star^j is the monomial operator i_op(0, j) and zhat^k is
     i_op(k, 0), so the operator is one product of two memoized images.
     Every entry of i_op(k, 0) is the unit series, so that product only
-    re-indexes the entries of i_op(0, j) (``TSeries.__mul__``).
+    re-indexes the entries of i_op(0, j) (``TSeries.__mul__`` returns the
+    other factor); the solve's products take its Laurent kernel.
     """
     return covariant_symbol(i_op(0, j, M, order) * i_op(k, 0, M, order), window)
 

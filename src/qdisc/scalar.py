@@ -77,6 +77,21 @@ def _shifted(a: dict, k: int = 0, c: int = 1) -> dict:
         return {_EXPONENTS[e + k]: v * c for e, v in a.items() if v}
 
 
+def _madd(acc: dict, a: dict, b: dict) -> None:
+    """acc += a * b for Laurent dicts, in place; zero values may stay in acc.
+
+    The one integer multiply-add of the package: ``_shifted`` drops the
+    zeros once, after the last term.
+    """
+    if len(a) < len(b):
+        a, b = b, a
+    get = acc.get
+    for eb, cb in b.items():
+        for ea, ca in a.items():
+            e = ea + eb
+            acc[e] = get(e, 0) + ca * cb
+
+
 def _pmul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
@@ -88,11 +103,7 @@ def _pmul(a: dict, b: dict) -> dict:
             return {ea: ca * cb for ea, ca in a.items()}
         return _shifted(a, eb, cb)
     out: dict = {}
-    get = out.get
-    for eb, cb in b.items():
-        for ea, ca in a.items():
-            e = ea + eb
-            out[e] = get(e, 0) + ca * cb
+    _madd(out, a, b)
     return _shifted(out)
 
 
@@ -643,8 +654,13 @@ class TSeries(_Truncated):
         """The truncated product.
 
         A factor equal to the unit series gives back the other factor: the
-        test is on the values, so 1 + c t with c nonzero takes the general
-        convolution.
+        test is on the values, so 1 + c t with c nonzero takes the
+        convolution.  When every coefficient of both factors is Laurent
+        (``den == {0: 1}``), each t-order is one integer dict, summed by
+        ``_madd`` over its term products, and one canonical ``QScalar`` is
+        built per t-order: its zero-free numerator over 1, or ``ZERO``.  A
+        single coefficient that is not Laurent, such as 1/(1 - q), sends the
+        whole product through ``QScalar`` arithmetic term by term.
         """
         if isinstance(other, TSeries):
             self._check(other)
@@ -652,15 +668,25 @@ class TSeries(_Truncated):
                 return self
             if self.is_one():
                 return other
-            out = [ZERO] * (self.order + 1)
-            for i, a in enumerate(self.coeffs):
-                if a.is_zero():
-                    continue
-                for j in range(self.order + 1 - i):
-                    b = other.coeffs[j]
-                    if not b.is_zero():
-                        out[i + j] = out[i + j] + a * b
-            return TSeries(out, self.order)
+            order = self.order
+            pairs = [
+                (i + j, a, b)
+                for i, a in enumerate(self.coeffs)
+                if a.num
+                for j, b in enumerate(other.coeffs[: order + 1 - i])
+                if b.num
+            ]
+            if all(c.den == _ONE_P for c in self.coeffs + other.coeffs):
+                accs = [{} for _ in range(order + 1)]
+                for n, a, b in pairs:
+                    _madd(accs[n], a.num, b.num)
+                return TSeries(
+                    [QScalar(num, _ONE_P, _canonical=True) if num else ZERO for num in map(_shifted, accs)], order
+                )
+            out = [ZERO] * (order + 1)
+            for n, a, b in pairs:
+                out[n] = out[n] + a * b
+            return TSeries(out, order)
         c = _coerce(other)
         if c is NotImplemented:
             return NotImplemented

@@ -338,6 +338,26 @@ def box_tilde_sector_chain(b: int, c: int, order: int) -> tuple:
     return tuple(_deformation_terms(NCPoly.monomial(0, b), NCPoly.monomial(c, 0), order))
 
 
+def tseries_mul_reference(a: TSeries, b: TSeries) -> TSeries:
+    """The truncated product term by term through ``QScalar`` arithmetic, with no shortcut.
+
+    Each nonzero term product a_i b_j with i + j <= order is added to the
+    coefficient of t^(i+j) as a ``QScalar``: the oracle for the Laurent
+    kernel and the unit-series shortcuts of ``TSeries.__mul__``.
+    """
+    if a.order != b.order:
+        raise ValueError(f"truncation order mismatch: {a.order} vs {b.order}")
+    out = [ZERO] * (a.order + 1)
+    for i, x in enumerate(a.coeffs):
+        if x.is_zero():
+            continue
+        for j in range(a.order + 1 - i):
+            y = b.coeffs[j]
+            if not y.is_zero():
+                out[i + j] = out[i + j] + x * y
+    return TSeries(out, a.order)
+
+
 def geometric(c, order: int) -> TSeries:
     """1 / (1 - c*t) truncated: coefficients 1, c, c^2, ..."""
     coeffs = [ONE]

@@ -407,6 +407,19 @@ def test_clear_caches_leaves_oracle_and_symmetry_unloaded():
     assert proc.stdout.strip() == "[]"
 
 
+@pytest.mark.parametrize("expr, code", [("zs*z", 0), ("zs +", 2)])
+def test_python_m_qdisc_runs_the_cli(expr, code):
+    src = os.path.dirname(os.path.dirname(qdisc.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    runs = [
+        subprocess.run([sys.executable, "-m", module, "star", "z*zs", expr, "--order", "2"], env=env, capture_output=True)
+        for module in ("qdisc", "qdisc.cli")
+    ]
+    assert [run.returncode for run in runs] == [code, code]
+    assert runs[0].stdout == runs[1].stdout
+    assert json.loads(runs[0].stdout)["schema"] == 1
+
+
 def test_closed_stdout_exits_2_without_a_traceback():
     src = os.path.dirname(os.path.dirname(qdisc.__file__))
     env = dict(os.environ, PYTHONPATH=src)
