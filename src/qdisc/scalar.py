@@ -80,8 +80,9 @@ def _shifted(a: dict, k: int = 0, c: int = 1) -> dict:
 def _madd(acc: dict, a: dict, b: dict) -> None:
     """acc += a * b for Laurent dicts, in place; zero values may stay in acc.
 
-    The one integer multiply-add of the package: ``_shifted`` drops the
-    zeros once, after the last term.
+    The multiply-add of ``_pmul``, the Laurent kernel of ``TSeries.__mul__``
+    and ``fockrep._image``: ``_shifted`` drops the zeros once, after the
+    last term.  The outer loop runs over the shorter factor.
     """
     if len(a) < len(b):
         a, b = b, a
@@ -95,7 +96,7 @@ def _madd(acc: dict, a: dict, b: dict) -> None:
 def _pmul(a: dict, b: dict) -> dict:
     if not a or not b:
         return {}
-    if len(a) < len(b):
+    if len(a) == 1:
         a, b = b, a
     if len(b) == 1:
         ((eb, cb),) = b.items()

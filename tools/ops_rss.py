@@ -1,15 +1,15 @@
 """Throughput and peak RSS of two checkouts at one fixed op count.
 
-    python tools/ops_rss.py BASE CHANGE [--workload W] [--seed N] [--ops K] [--rounds R]
+    python tools/ops_rss.py BASE CHANGE [--workload W] [--seed N] [--ops K]
 
 Runs ``bench/worker.py --workload W --seed N --ops K`` of each checkout in
-a fresh process, R rounds, the side that runs first alternating by round.
-For each side it prints one JSON line: the median ops/s (successful ops
-over the worker's ``wall``) and the median ``peak_rss_mb``, with the values
-of every round.  The worker keeps a record per op, so ``peak_rss_mb`` of a
-timed run grows with the op count; at a fixed count it compares the
-memory of the code alone.  The tool only reads the worker's last stdout
-line and writes nothing.
+a fresh process, ``ROUNDS`` rounds, the side that runs first alternating
+by round.  For each side it prints one JSON line: the median ops/s
+(successful ops over the worker's ``wall``) and the median
+``peak_rss_mb``, with the values of every round.  The worker keeps a
+record per op, so ``peak_rss_mb`` of a timed run grows with the op count;
+at a fixed count it compares the memory of the code alone.  The tool only
+reads the worker's last stdout line and writes nothing.
 """
 
 from __future__ import annotations
@@ -20,6 +20,8 @@ import os
 import statistics
 import subprocess
 import sys
+
+ROUNDS = 4
 
 
 def summarize(side: str, outputs: list) -> dict:
@@ -56,11 +58,10 @@ def main(argv=None) -> int:
     ap.add_argument("--workload", default="oracle-session")
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--ops", type=int, default=20000)
-    ap.add_argument("--rounds", type=int, default=3)
     args = ap.parse_args(argv)
     sides = {"base": args.base, "change": args.change}
     outputs: dict = {side: [] for side in sides}
-    for r in range(args.rounds):
+    for r in range(ROUNDS):
         for side in sorted(sides, reverse=bool(r % 2)):
             outputs[side].append(run_worker(sides[side], args.workload, args.seed, args.ops))
     for side, path in sides.items():
