@@ -100,7 +100,7 @@ def clear_caches() -> None:
         uq._act_mono.cache_clear()
     fock = sys.modules.get(f"{__name__}.fockrep")
     if fock is not None:
-        for memo in (fock.i_op, fock._poch, fock._column_poly, fock._column_value, fock._column_inverse):
+        for memo in (fock.i_op, fock._poch, fock._column_poly, fock._column_value, fock._column_weight):
             memo.cache_clear()
 
 

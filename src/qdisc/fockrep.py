@@ -13,34 +13,38 @@ must agree with the matrix product of the factors' images.
 With x = q^2m, the t^n coefficient of column m is a polynomial in x of
 degree k + n (``_column_poly``) whose coefficients are Laurent polynomials
 in s with no denominator, and x^p is the shift s^(4mp).  So ``q_map`` and
-``i_op_poly`` group terms by diagonal j - k and sum the terms of one
-diagonal once per power of x and t-order, by ``scalar._madd`` over the one
-common denominator of the term coefficients.  Most of those sums cancel,
-so their zero entries are dropped once per diagonal; every column is what
-is left read at its x, one integer dict of shifted numerators over that
-denominator, with no product.  ``scalar._canonical`` brings it to
-canonical form: as it stands over 1, by one content division over a
-constant, and by a gcd otherwise.  A diagonal with a single term scales
-the memoized column value instead.  The operator product and the solve
-run on ``TSeries.__mul__``, whose Laurent kernel is the same ``_madd``.
+``i_op_poly`` group terms by diagonal j - k, and a diagonal of several
+terms with Laurent coefficients sums them once per power of x and t-order
+by ``scalar._madd``.  Most of those sums cancel, so their zero entries are
+dropped once per diagonal; every column is what is left read at its x,
+one integer dict over 1, with no product.  Any other diagonal scales the
+memoized column values of its terms and adds them.
 
 ``covariant_symbol`` inverts the picture (unique coefficients within a
-declared window): it multiplies by the numerator (t q^2m; q^-2)_k of the
-closed-form column inverse and divides each coefficient exactly by its
-denominator (q^2m; q^-2)_k.  The solve matches the operator on the
+declared window).  With r = q^-2, column m of z^(k+d) zs^k carries
+c(k, m) = (x; r)_k / (t x; r)_k, and for k <= m
+
+    c(k, m) (t x; r)_m = (x; r)_k (t x r^k; r)_(m-k) = w(k, m),
+
+because (t x; r)_m / (t x; r)_k telescopes to the factors 1 - t x r^i
+with k <= i < m.  Multiplied through by (t x; r)_m, column m of the
+triangular system reads sum_(k<=m) w(k, m) a_k = w(0, m) A_m: one sum of
+products per new unknown (``scalar._sum_of_products``, the kernel of
+``TSeries.__mul__``), then one exact division by the constant
+w(m, m) = (q^2m; q^-2)_m.  The solve matches the operator on the
 window's columns by construction; the ``transform-map-back`` verify law
-checks the columns beyond.  ``berezin``
-and ``berezin_expansion`` give the two independent routes to the symbol of
-zhat_star^j zhat^k: the operator solve here, and the differential route,
-which is the deformed product zs^j * z^k that ``star`` computes.
+checks the columns beyond.  ``berezin`` and ``berezin_expansion`` give the
+two independent routes to the symbol of zhat_star^j zhat^k: the operator
+solve here, and the differential route, which is the deformed product
+zs^j * z^k that ``star`` computes.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, reduce
+from functools import lru_cache
 
 from .qpoly import NCPoly, WindowedSeries, _add_terms
-from .scalar import _ONE_P, ZERO, QScalar, TSeries, _canonical, _div_poly, _exponents, _madd, _padd, _pmul, _shifted
+from .scalar import _ONE_P, ZERO, QScalar, TSeries, _div_poly, _exponents, _madd, _padd, _pmul, _shifted, _sum_of_products
 from .star import StarSeries, star
 
 
@@ -220,30 +224,11 @@ def _column_poly(k: int, order: int) -> tuple:
     return tuple(rows)
 
 
-def _over_one_den(values: list) -> tuple:
-    """Nonzero QScalars as integer numerators over one denominator: (numerators, den).
+def _read(num_rows: list, m: int, order: int) -> TSeries:
+    """The series whose t^n coefficient is row n read at x = q^2m.
 
-    ``den`` is the product of the distinct denominators, and each numerator
-    is one product by the other denominators, so nothing is divided;
-    ``_read`` cancels what the sum leaves in common.
-    """
-    dens: list = []
-    for v in values:
-        if v.den not in dens:
-            dens.append(v.den)
-    if len(dens) == 1:
-        return [v.num for v in values], dens[0]
-    cofactors = [reduce(_pmul, dens[:i] + dens[i + 1 :]) for i in range(len(dens))]
-    den = _pmul(cofactors[0], dens[0])
-    return [_pmul(v.num, cofactors[dens.index(v.den)]) for v in values], den
-
-
-def _read(num_rows: list, den: dict, m: int, order: int) -> TSeries:
-    """The series whose t^n coefficient is row n read at x = q^2m, over ``den``.
-
-    x^p = s^(4mp), so reading a row shifts the exponents of each numerator
-    by 4mp and adds them into one integer dict, and ``_canonical`` cancels
-    it against ``den``.
+    x^p = s^(4mp), so reading a row shifts the exponents of each Laurent
+    numerator by 4mp and adds them into one integer dict, over 1.
     """
     coeffs = []
     for row in num_rows:
@@ -254,93 +239,94 @@ def _read(num_rows: list, den: dict, m: int, order: int) -> TSeries:
             for e, c in num.items():
                 e += shift
                 acc[e] = get(e, 0) + c
-        coeffs.append(_canonical({e: c for e, c in acc.items() if c}, den))
+        acc = {e: c for e, c in acc.items() if c}
+        coeffs.append(QScalar(acc, _ONE_P, _canonical=True) if acc else ZERO)
     return TSeries(coeffs, order)
 
 
 @lru_cache(maxsize=None)
 def _column_value(k: int, m: int, order: int) -> TSeries:
     """(q^2m; q^-2)_k / (t q^2m; q^-2)_k expanded in t: ``_column_poly`` read at x = q^2m."""
-    return _read(_column_poly(k, order), _ONE_P, m, order)
+    return _read(_column_poly(k, order), m, order)
 
 
 @lru_cache(maxsize=None)
-def _column_inverse(k: int, m: int, order: int) -> tuple:
-    """1 / _column_value(k, m, order) as (P, D), for k <= m: the series P / D.
+def _column_weight(k: int, m: int, order: int) -> TSeries:
+    """w(k, m) = (x; r)_k (t x r^k; r)_(m-k) at x = q^2m, r = q^-2, for k <= m, truncated.
 
-    P = (t x; r)_k truncated and D = (x; r)_k, with x = q^2m and r = q^-2,
-    both read off ``_poch(k)``: the t^i coefficient of P is its x^i
-    coefficient times x^i, and D is the sum of those.  x^i r^e is
-    s^(4(mi - e)), with a positive exponent for i >= 1 since k <= m, so D
-    is a polynomial with constant term 1, the shape of a denominator.
-    Dividing by D is left to the caller, so a Laurent value over D is one
-    exact division (``scalar._div_poly``).
+    Both factors are read off ``_poch``: (x; r)_k is the sum of its
+    x-coefficients times x^j, and the t^i coefficient of the second factor
+    is the y^i coefficient of (y; r)_(m-k) times (x r^k)^i.  x^j r^e is
+    s^(4(mj - e)).  So w(k, m) is a polynomial of degree m - k in t with
+    Laurent coefficients, and w(m, m) = (q^2m; q^-2)_m is a constant.
     """
-    exps = _exponents(4 * m * k)
-    terms = [{exps[4 * (m * i - e)]: c for e, c in poly.items()} for i, poly in enumerate(_poch(k))]
-    den: dict = {}
-    for term in terms:
-        den = _padd(den, term)
-    coeffs = [QScalar(term, None, _canonical=True) for term in terms[: order + 1]]
-    return TSeries(coeffs + [ZERO] * (order - k), order), den
+    exps = _exponents(4 * m * m)
+    const: dict = {}
+    for j, poly in enumerate(_poch(k)):
+        const = _padd(const, {exps[4 * (m * j - e)]: c for e, c in poly.items()})
+    coeffs = [
+        QScalar(_pmul(const, {exps[4 * ((m - k) * i - e)]: c for e, c in poly.items()}), None, _canonical=True)
+        for i, poly in enumerate(_poch(m - k)[: order + 1])
+    ]
+    return TSeries(coeffs + [ZERO] * (order + 1 - len(coeffs)), order)
 
 
 def _image(series, M: int, order: int) -> FockOp:
     """The operator of sum_n t^n f_n over the polynomials f_n of ``series``.
 
     Terms are grouped by diagonal d = j - k, whose entries sit at (m + d, m).
-    A diagonal with one term scales ``_column_value`` by its coefficient (not
-    at all when that is one) and shifts it by t^n.  On a diagonal with
-    several terms, the t^N coefficient of every column is one polynomial in
-    x = q^2m: coefficient times ``_column_poly`` entry, summed once per power
-    of x over the terms with n <= N.  The coefficients go over one common
-    denominator once (``_over_one_den``), and the tables have none, so the
-    sums are integer multiply-adds (``scalar._madd``) into {s-exponent: int}
-    dicts, with no QScalar and no gcd.  Most of what they accumulate
-    cancels, so the zero entries, and the powers of x left with none, are
-    dropped once, before any column is read.  Each column is that
-    polynomial read at its x, with no product.  A term vanishes on columns
-    m < k, so the columns run from the smallest k of the diagonal on.
+    On a diagonal of several terms whose coefficients are all Laurent, the
+    t^N coefficient of every column is one polynomial in x = q^2m:
+    coefficient times ``_column_poly`` entry, summed once per power of x
+    over the terms with n <= N by the integer multiply-add
+    ``scalar._madd``, with no QScalar and no gcd.  Most of what the sums
+    accumulate cancels, so the zero entries, and the powers of x left with
+    none, are dropped once, before any column is read at its x.  Any other
+    diagonal scales each term's memoized ``_column_value`` by its
+    coefficient (not at all when that is one), shifts it by t^n and adds
+    the terms per entry.  A term vanishes on columns m < k, so its columns
+    run from k on.
     """
     diagonals: dict = {}
     for n, f in enumerate(series):
         for (j, k), c in f.terms.items():
             diagonals.setdefault(j - k, []).append((n, k, c))
-    entries = {}
+    entries: dict = {}
     for d, terms in diagonals.items():
         last = min(M, M - d)
-        if len(terms) == 1:
-            ((n, k, c),) = terms
+        if len(terms) > 1 and all(c.den == _ONE_P for _, _, c in terms):
+            rows: list = [{} for _ in range(order + 1)]
+            for n, k, c in terms:
+                for row, trow in zip(rows[n:], _column_poly(k, order)):
+                    for p, tnum in trow:
+                        _madd(row.setdefault(p, {}), tnum, c.num)
+            num_rows = []
+            for row in rows:
+                kept = []
+                for p, acc in row.items():
+                    acc = {e: c for e, c in acc.items() if c}
+                    if acc:
+                        kept.append((p, acc))
+                num_rows.append(kept)
+            for m in range(min(k for _, k, _ in terms), last + 1):
+                entries[(m + d, m)] = _read(num_rows, m, order)
+            continue
+        for n, k, c in terms:
             unit = c.is_one()
             for m in range(k, last + 1):
                 cv = _column_value(k, m, order).coeffs[: order + 1 - n]
-                entries[(m + d, m)] = TSeries((ZERO,) * n + (cv if unit else tuple(v * c for v in cv)), order)
-            continue
-        nums, den = _over_one_den([c for _, _, c in terms])
-        rows: list = [{} for _ in range(order + 1)]
-        for (n, k, _), num in zip(terms, nums):
-            for row, trow in zip(rows[n:], _column_poly(k, order)):
-                for p, tnum in trow:
-                    _madd(row.setdefault(p, {}), tnum, num)
-        num_rows = []
-        for row in rows:
-            kept = []
-            for p, acc in row.items():
-                acc = {e: c for e, c in acc.items() if c}
-                if acc:
-                    kept.append((p, acc))
-            num_rows.append(kept)
-        for m in range(min(k for _, k, _ in terms), last + 1):
-            entries[(m + d, m)] = _read(num_rows, den, m, order)
+                value = TSeries((ZERO,) * n + (cv if unit else tuple(v * c for v in cv)), order)
+                _add_terms((((m + d, m), value),), entries)
     return FockOp(M, order, entries, max(diagonals, default=0))
 
 
 def i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
     """Linear extension of the monomial action to any polynomial.
 
-    The same routine as ``q_map`` with f alone at t^0: several terms on a
-    diagonal are summed as one polynomial in x = q^2m before any column is
-    built, and a lone term scales the memoized column value.
+    The same routine as ``q_map`` with f alone at t^0: several Laurent
+    terms on a diagonal are summed as one polynomial in x = q^2m before any
+    column is built, and any other diagonal scales the memoized column
+    values.
     """
     return _image((f,), M, order)
 
@@ -372,9 +358,9 @@ def zhat_star(M: int, order: int) -> FockOp:
 def q_map(psi: StarSeries, M: int) -> FockOp:
     """Map a truncated star series to operators: the t^n coefficient acts shifted by t^n.
 
-    The terms of each diagonal are summed once, over all t-orders of
-    ``psi``, as polynomials in x = q^2m, and every column is read off the
-    sum (``_image``).
+    The Laurent terms of each diagonal are summed once, over all t-orders
+    of ``psi``, as polynomials in x = q^2m, and every column is read off
+    the sum (``_image``).
     """
     return _image(psi.coeffs, M, psi.order)
 
@@ -383,19 +369,26 @@ def covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
     """Recover the unique symbol coefficients of A within the window.
 
     The operator splits into graded shifts d = row - col.  For each shift
-    the unknowns a_(k+d, k) are determined column by column: the monomial
-    action vanishes on columns below its antiholomorphic exponent, so
-    column m introduces exactly one new unknown and the system is
-    triangular.  Shifts whose window part is empty are skipped (their
-    coefficients lie outside the window and are honestly unknown).
+    the unknowns a_k = a_(k+d, k) are determined column by column: column m
+    of z^(k+d) zs^k carries c(k, m) = (x; r)_k / (t x; r)_k with x = q^2m
+    and r = q^-2, which vanishes for m < k, so column m introduces exactly
+    one new unknown and the system is triangular.  Shifts whose window part
+    is empty are skipped (their coefficients lie outside the window and are
+    honestly unknown).
 
-    The new unknown is the residual of column m times its column inverse
-    P / D (``_column_inverse``): the residual times the t-polynomial P,
-    then each coefficient divided by the polynomial D with one exact
-    division (``scalar._div_poly``).  These products take the integer
-    kernel of ``TSeries.__mul__`` when every coefficient is Laurent; a
-    value such as 1/(1 - q) takes ``QScalar`` arithmetic and, when D does
-    not divide, the general quotient.
+    Column m reads sum_(k<=m) c(k, m) a_k = A_m.  Multiplied through by
+    (t x; r)_m, each c(k, m) becomes the column weight
+    w(k, m) = (x; r)_k (t x r^k; r)_(m-k) (``_column_weight``), since
+    (t x; r)_m / (t x; r)_k telescopes to the factors 1 - t x r^i with
+    k <= i < m.  So
+
+        w(m, m) a_m = w(0, m) A_m - sum_(k<m) w(k, m) a_k,
+
+    one ``scalar._sum_of_products`` over the column, and w(m, m) is a
+    constant polynomial in s, by which each coefficient is divided exactly
+    (``scalar._div_poly``).  The sum takes the integer kernel when every
+    coefficient is Laurent; a value such as 1/(1 - q) takes ``QScalar``
+    arithmetic and, when w(m, m) does not divide, the general quotient.
     """
     order = A.order
     shifts = sorted({row - col for row, col in A.entries})
@@ -410,17 +403,15 @@ def covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
                 f"window {window} needs columns up to {k_max} but only "
                 f"{A.valid_columns()} are valid; increase the cutoff M"
             )
-        solved: list = []
+        minus: list = []  # (k, -a_k) for the nonzero unknowns solved so far
         for m in range(k_min, k_max + 1):
-            residual = A.entry(m + d, m)
-            for k, a in enumerate(solved, start=k_min):
-                if not a.is_zero():
-                    residual = residual - a * _column_value(k, m, order)
-            poly, den = _column_inverse(m, m, order)
-            solved.append(TSeries([_div_poly(c, den) for c in (residual * poly).coeffs], order))
-        for k, a in enumerate(solved, start=k_min):
+            pairs = [(_column_weight(0, m, order), A.entry(m + d, m))]
+            pairs += [(_column_weight(k, m, order), b) for k, b in minus]
+            top = _column_weight(m, m, order).coeffs[0].num
+            a = TSeries([_div_poly(c, top) for c in _sum_of_products(pairs, order).coeffs], order)
             if not a.is_zero():
-                out[(k + d, k)] = a
+                out[(m + d, m)] = a
+                minus.append((m, -a))
     return WindowedSeries(window, order, out)
 
 
@@ -433,7 +424,7 @@ def berezin(j: int, k: int, window: int, M: int, order: int) -> WindowedSeries:
     i_op(k, 0), so the operator is one product of two memoized images.
     Every entry of i_op(k, 0) is the unit series, so that product only
     re-indexes the entries of i_op(0, j) (``TSeries.__mul__`` returns the
-    other factor); the solve's products take its Laurent kernel.
+    other factor); the solve's sums of products take the Laurent kernel.
     """
     return covariant_symbol(i_op(0, j, M, order) * i_op(k, 0, M, order), window)
 

@@ -80,7 +80,7 @@ def _shifted(a: dict, k: int = 0, c: int = 1) -> dict:
 def _madd(acc: dict, a: dict, b: dict) -> None:
     """acc += a * b for Laurent dicts, in place; zero values may stay in acc.
 
-    The multiply-add of ``_pmul``, the Laurent kernel of ``TSeries.__mul__``
+    The multiply-add of ``_pmul``, the Laurent kernel of ``_sum_of_products``
     and ``fockrep._image``: ``_shifted`` drops the zeros once, after the
     last term.  The outer loop runs over the shorter factor.
     """
@@ -656,12 +656,7 @@ class TSeries(_Truncated):
 
         A factor equal to the unit series gives back the other factor: the
         test is on the values, so 1 + c t with c nonzero takes the
-        convolution.  When every coefficient of both factors is Laurent
-        (``den == {0: 1}``), each t-order is one integer dict, summed by
-        ``_madd`` over its term products, and one canonical ``QScalar`` is
-        built per t-order: its zero-free numerator over 1, or ``ZERO``.  A
-        single coefficient that is not Laurent, such as 1/(1 - q), sends the
-        whole product through ``QScalar`` arithmetic term by term.
+        convolution, ``_sum_of_products`` of the one pair.
         """
         if isinstance(other, TSeries):
             self._check(other)
@@ -669,25 +664,7 @@ class TSeries(_Truncated):
                 return self
             if self.is_one():
                 return other
-            order = self.order
-            pairs = [
-                (i + j, a, b)
-                for i, a in enumerate(self.coeffs)
-                if a.num
-                for j, b in enumerate(other.coeffs[: order + 1 - i])
-                if b.num
-            ]
-            if all(c.den == _ONE_P for c in self.coeffs + other.coeffs):
-                accs = [{} for _ in range(order + 1)]
-                for n, a, b in pairs:
-                    _madd(accs[n], a.num, b.num)
-                return TSeries(
-                    [QScalar(num, _ONE_P, _canonical=True) if num else ZERO for num in map(_shifted, accs)], order
-                )
-            out = [ZERO] * (order + 1)
-            for n, a, b in pairs:
-                out[n] = out[n] + a * b
-            return TSeries(out, order)
+            return _sum_of_products([(self, other)], self.order)
         c = _coerce(other)
         if c is NotImplemented:
             return NotImplemented
@@ -695,30 +672,34 @@ class TSeries(_Truncated):
 
     __rmul__ = __mul__
 
-    def inverse(self) -> "TSeries":
-        """Multiplicative inverse mod t**(order+1); constant term must be nonzero."""
-        c0 = self.coeffs[0]
-        if c0.is_zero():
-            raise ValueError("TSeries with zero constant term has no inverse")
-        inv0 = ONE / c0
-        out = [inv0] + [ZERO] * self.order
-        for n in range(1, self.order + 1):
-            acc = ZERO
-            for k in range(1, n + 1):
-                ck = self.coeffs[k]
-                if not ck.is_zero():
-                    acc = acc + ck * out[n - k]
-            out[n] = -inv0 * acc
-        return TSeries(out, self.order)
-
-    def __truediv__(self, other):
-        if isinstance(other, TSeries):
-            self._check(other)
-            return self * other.inverse()
-        c = _coerce(other)
-        if c is NotImplemented:
-            return NotImplemented
-        return self * (ONE / c)
-
     def __hash__(self) -> int:
         return hash((self.order, self.coeffs))
+
+
+def _sum_of_products(pairs: list, order: int) -> TSeries:
+    """The sum of a * b over the (a, b) pairs of series of one truncation order.
+
+    When every coefficient of every pair is Laurent (``den == {0: 1}``),
+    each t-order is one integer dict, summed by ``_madd`` over its term
+    products, and one canonical ``QScalar`` is built per t-order: its
+    zero-free numerator over 1, or ``ZERO``.  A single coefficient that is
+    not Laurent, such as 1/(1 - q), sends the whole sum through ``QScalar``
+    arithmetic term by term.
+    """
+    terms = [
+        (i + j, x, y)
+        for a, b in pairs
+        for i, x in enumerate(a.coeffs)
+        if x.num
+        for j, y in enumerate(b.coeffs[: order + 1 - i])
+        if y.num
+    ]
+    if all(c.den == _ONE_P for a, b in pairs for c in a.coeffs + b.coeffs):
+        accs = [{} for _ in range(order + 1)]
+        for n, x, y in terms:
+            _madd(accs[n], x.num, y.num)
+        return TSeries([QScalar(num, _ONE_P, _canonical=True) if num else ZERO for num in map(_shifted, accs)], order)
+    out = [ZERO] * (order + 1)
+    for n, x, y in terms:
+        out[n] = out[n] + x * y
+    return TSeries(out, order)

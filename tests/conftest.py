@@ -48,6 +48,23 @@ def qpochhammer(a, base_exponent: int, n: int) -> QScalar:
     return out
 
 
+def tseries_inverse(a: TSeries) -> TSeries:
+    """The multiplicative inverse of a mod t**(order+1); the constant term must be nonzero."""
+    c0 = a.coeffs[0]
+    if c0.is_zero():
+        raise ValueError("TSeries with zero constant term has no inverse")
+    inv0 = ONE / c0
+    out = [inv0] + [ZERO] * a.order
+    for n in range(1, a.order + 1):
+        acc = ZERO
+        for k in range(1, n + 1):
+            ck = a.coeffs[k]
+            if not ck.is_zero():
+                acc = acc + ck * out[n - k]
+        out[n] = -inv0 * acc
+    return TSeries(out, a.order)
+
+
 def tshift(a: TSeries, j: int) -> TSeries:
     """a times t**j, dropping what falls past the truncation order."""
     if j < 0:
@@ -367,12 +384,12 @@ def geometric(c, order: int) -> TSeries:
 
 
 def from_rational(num: list, den: list, order: int) -> TSeries:
-    """Taylor expansion of num(t)/den(t), through ``TSeries.inverse``; den must not vanish at t = 0."""
+    """Taylor expansion of num(t)/den(t), through ``tseries_inverse``; den must not vanish at t = 0."""
     if not den or den[0].is_zero():
         raise ValueError("denominator vanishes at t = 0: not a formal power series")
     n = TSeries([num[i] if i < len(num) else ZERO for i in range(order + 1)], order)
     d = TSeries([den[i] if i < len(den) else ZERO for i in range(order + 1)], order)
-    return n * d.inverse()
+    return n * tseries_inverse(d)
 
 
 @lru_cache(maxsize=None)
@@ -429,7 +446,7 @@ def qbinomial_covariant_symbol(A: FockOp, window: int) -> WindowedSeries:
                 pi = _t_linear_product([(-(Q**i), Q) for i in range(k - m)], order)
                 gauss = qq(k) / (qq(m) * qq(k - m))
                 acc = acc + weight * pi * A.entry(m + d, m) * gauss
-            a = acc / qq(k)
+            a = acc * (ONE / qq(k))
             if not a.is_zero():
                 out[(k + d, k)] = a
     return WindowedSeries(window, order, out)

@@ -8,6 +8,8 @@ import sys
 from contextlib import redirect_stdout
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import qdisc
 from qdisc.cli import main
@@ -447,3 +449,54 @@ def test_every_public_name_resolves():
     assert qdisc.GENERATORS is qdisc.uqsl2.GENERATORS
     with pytest.raises(AttributeError):
         qdisc.no_such_name
+
+
+# -- fuzzing over a bounded grammar -------------------------------------------------
+
+# bounded so that no input can allocate without limit: exponents <= 3,
+# --order <= 3, --cutoff <= 10, --window <= 5; -1 reaches the nonnegativity checks
+_EXPONENT = st.integers(-1, 3).map(str)
+_MALFORMED = st.sampled_from(
+    ["", "z^", "(z", "z)", "zs**2", "1/0", "q^-1", "z^-1", "1/(1-q", "x", "2/z", "z zs", "--bogus", "--order", "-1"]
+    + ["1.5", "1/q^0", "+"]
+)
+_SCALAR = st.sampled_from(["1", "2", "-3", "q", "s", "q^2", "1/2", "(1 - q)", "1/(1 - q^2)", "s^3"])
+_MONOMIAL = st.tuples(_SCALAR, st.integers(0, 3), st.integers(0, 3)).map(lambda t: f"{t[0]}*z^{t[1]}*zs^{t[2]}")
+_POLY = st.one_of(st.lists(_MONOMIAL, min_size=1, max_size=3).map(" + ".join), _MALFORMED)
+
+
+def _option(name: str, top: int):
+    return st.one_of(st.just([]), st.integers(-1, top).map(lambda v: [name, str(v)]))
+
+
+def _argv(command: str, *parts):
+    """Command lines of ``command`` followed by parts that draw a token or a list of tokens."""
+
+    def flat(drawn):
+        return [command] + [tok for p in drawn for tok in (p if isinstance(p, list) else [p])]
+
+    return st.tuples(*parts).map(flat)
+
+
+_COMMANDS = st.one_of(
+    _argv("star", _POLY, _POLY, _option("--order", 3)),
+    _argv("ck", _EXPONENT, _POLY, _POLY),
+    _argv("box", _POLY),
+    _argv("berezin", _EXPONENT, _EXPONENT, _option("--order", 3), _option("--cutoff", 10), _option("--window", 5)),
+    _argv("berezin-expand", _EXPONENT, _EXPONENT, _option("--terms", 3)),
+    _argv("pk", _EXPONENT),
+    _argv("eval", _POLY, st.just("--s0"), st.sampled_from(["0", "1/2", "-3", "7/10"])),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_COMMANDS, st.one_of(st.none(), st.tuples(st.integers(0, 6), _MALFORMED)))
+def test_fuzzed_command_lines_exit_0_or_2_with_one_json_document(argv, extra):
+    if extra is not None:  # one malformed token anywhere
+        pos, token = extra
+        argv = argv[:pos] + [token] + argv[pos:]
+    # empty stdin, for eval with no expression; run_cli parses the whole output as one JSON document
+    code, payload = run_cli(*argv, stdin_text="")
+    assert code in (0, 2), argv
+    assert payload["schema"] == 1
+    assert ("error" in payload) == (code == 2), argv

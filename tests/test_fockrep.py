@@ -27,12 +27,13 @@ from qdisc import (
     zhat,
     zhat_star,
 )
-from qdisc.fockrep import _column_inverse, _column_poly, _column_value
+from qdisc.fockrep import _column_poly, _column_value, _column_weight
 from qdisc.star import StarSeries
 
 from qdisc.verify import _maps_back
 
 from conftest import (
+    _t_linear_product,
     berezin_horner,
     column_series,
     from_rational,
@@ -43,6 +44,7 @@ from conftest import (
     naive_q_map,
     qbinomial_covariant_symbol,
     qpochhammer,
+    tseries_inverse,
     tshift,
 )
 
@@ -112,9 +114,9 @@ def test_zhat_star_from_norm_ratios():
                 den = den * (
                     TSeries.one(T) - tshift(TSeries.constant(QScalar.q_power(2 * i + 2), T), 1)
                 )
-            return TSeries.constant(num, T) / den
+            return TSeries.constant(num, T) * tseries_inverse(den)
 
-        ratio = norm_sq(m) / norm_sq(m - 1)
+        ratio = norm_sq(m) * tseries_inverse(norm_sq(m - 1))
         assert A.entry(m - 1, m) == ratio, m
 
 
@@ -325,9 +327,9 @@ def test_diagonal_sums_hand_no_zero_entry_to_read(monkeypatch):
     seen = []
     real = fockrep._read
 
-    def spy(num_rows, den, m, order):
+    def spy(num_rows, m, order):
         seen.extend(num for row in num_rows for _, num in row)
-        return real(num_rows, den, m, order)
+        return real(num_rows, m, order)
 
     monkeypatch.setattr(fockrep, "_read", spy)
     for a, b, c, d in itertools.product(range(3), repeat=4):
@@ -337,12 +339,15 @@ def test_diagonal_sums_hand_no_zero_entry_to_read(monkeypatch):
 
 
 @pytest.mark.parametrize("order", [3, 5])
-def test_column_inverse_is_series_inverse(order):
+def test_column_weight_is_column_value_times_the_column_factor(order):
+    # w(k, m) = c(k, m) (t Q; Q)_m with Q = q^2, a polynomial of degree m - k in t
+    Q = QScalar.q_power(2)
     for m in range(17):
+        factor = _t_linear_product([(ONE, -(Q ** (i + 1))) for i in range(m)], order)
         for k in range(m + 1):
-            poly, den = _column_inverse(k, m, order)
-            inverse = poly * (ONE / QScalar(den, None, _canonical=True))
-            assert inverse == _column_value(k, m, order).inverse(), (k, m)
+            weight = _column_weight(k, m, order)
+            assert weight == column_series(k, m, order) * factor, (k, m)
+            assert not any(c.num for c in weight.coeffs[m - k + 1 :]), (k, m)
 
 
 # -- covariant symbols ------------------------------------------------------------------
@@ -389,6 +394,14 @@ def test_covariant_symbol_matches_qbinomial_oracle_on_berezin_operators(cutoff, 
         for k in range(3):
             A = i_op(0, j, cutoff, order) * i_op(k, 0, cutoff, order)
             assert covariant_symbol(A, window) == qbinomial_covariant_symbol(A, window), (j, k)
+
+
+def test_covariant_symbol_matches_qbinomial_oracle_at_order_8():
+    # every column weight of window 8 has degree m - k <= 8 in t, so none is truncated at order 8
+    for j in range(4):
+        for k in range(4):
+            A = i_op(0, j, 20, 8) * i_op(k, 0, 20, 8)
+            assert covariant_symbol(A, 8) == qbinomial_covariant_symbol(A, 8), (j, k)
 
 
 def test_covariant_symbol_matches_qbinomial_oracle_on_q_map_images(rng, rand_ncpoly):

@@ -292,7 +292,7 @@ def _package_memos() -> set:
 
 def test_clear_caches_empties_every_memo_and_keeps_results():
     memos = _package_memos()
-    assert {qpoly._normal_block, pk, _ck_mono, uqsl2._act_mono, fockrep.i_op} <= memos
+    assert {qpoly._normal_block, pk, _ck_mono, uqsl2._act_mono, fockrep.i_op, fockrep._column_weight} <= memos
     before = _memo_results()
     assert all(memo.cache_info().currsize for memo in memos)
     assert _SECTORS and len(_X_IMAGES) > 1

@@ -1,4 +1,5 @@
-"""The Laurent kernel of ``TSeries.__mul__`` against the term-by-term product of ``conftest``."""
+"""The Laurent kernel of ``TSeries.__mul__`` and ``scalar._sum_of_products`` against the
+term-by-term product of ``conftest``."""
 
 from fractions import Fraction
 
@@ -7,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qdisc import ONE, S, QScalar, TSeries, ZERO
+from qdisc.scalar import _sum_of_products
 
 from conftest import mixed_coefficients, tseries_mul_reference
 
@@ -126,3 +128,56 @@ def test_an_order_mismatch_raises(a, b):
     for x, y in ((a, b), (b, a)):
         with pytest.raises(ValueError, match="truncation order mismatch"):
             x * y
+
+
+def reference_sum(pairs: list, order: int) -> TSeries:
+    """The sum of the ``tseries_mul_reference`` products, added through ``TSeries.__add__``."""
+    out = TSeries.zero(order)
+    for a, b in pairs:
+        out = out + tseries_mul_reference(a, b)
+    return out
+
+
+def pair_lists(coefficients, last):
+    """One to three pairs over ``coefficients`` and a last pair over ``last``, of one order 0..4."""
+    def lists(order):
+        pair = st.tuples(series(coefficients, order), series(coefficients, order))
+        last_pair = st.tuples(series(last, order), series(last, order))
+        return st.tuples(st.just(order), st.lists(pair, min_size=1, max_size=3), last_pair)
+
+    return st.integers(0, 4).flatmap(lists).map(lambda c: (c[0], c[1] + [c[2]]))
+
+
+@settings(max_examples=80, deadline=None)
+@given(series_pairs(mixed_coefficients() | laurent_values()))
+def test_sum_of_products_of_one_pair_is_the_product(pair):
+    a, b = pair
+    assert num_den(_sum_of_products([(a, b)], a.order)) == num_den(tseries_mul_reference(a, b))
+
+
+@settings(max_examples=60, deadline=None)
+@given(series_pairs(laurent_values()), st.sampled_from(NON_LAURENT_VALUES + (ONE,)))
+def test_sum_of_products_of_pairs_that_cancel_is_zero(pair, c):
+    a, b = pair
+    a = TSeries([c * x for x in a.coeffs], a.order)  # Laurent exactly when c is one
+    got = _sum_of_products([(a, b), (-a, b), (b, a), (b, -a)], a.order)
+    assert all(x.num == {} and x.den == {0: 1} for x in got.coeffs)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    pair_lists(laurent_values(), laurent_values()),
+    st.sampled_from(NON_LAURENT_VALUES),
+    st.booleans(),
+    st.integers(0, 4),
+)
+def test_one_non_laurent_coefficient_in_the_last_pair_sends_the_sum_through_qscalar(case, c, left, i):
+    order, pairs = case
+    a, b = pairs[-1]
+    i = min(i, order)
+    if left:
+        a = TSeries(a.coeffs[:i] + (c,) + a.coeffs[i + 1 :], order)
+    else:
+        b = TSeries(b.coeffs[:i] + (c,) + b.coeffs[i + 1 :], order)
+    pairs[-1] = (a, b)
+    assert num_den(_sum_of_products(pairs, order)) == num_den(reference_sum(pairs, order))
