@@ -27,7 +27,7 @@ from .qpoly import (
     tensor_mul,
 )
 from .qcalc import box, box_tilde, d_partial, m0
-from .star import PkPolynomial, StarSeries, ck, m_series, pk, series_involution, star
+from .star import StarSeries, ck, m_series, pk, series_involution, star
 from .expr import EvalError, ParseError, parse, parse_ncpoly, parse_scalar, to_ncpoly
 
 # the operator oracle and the U_q(sl2) symmetry load on first use (PEP 562),
@@ -82,15 +82,18 @@ def clear_caches() -> None:
     """Empty every memo of the package, so that a long-lived process can give its memory back.
 
     The normal-ordering blocks (both orientations), the p_k chain and its
-    memo, the sector chains and their memo, and the memos of the operator
-    oracle and the U_q(sl2) action when those modules are loaded.  Every
-    result after a clear equals the one before it; only the time to
-    recompute it changes.
+    memo, the sector chains and their memo, the shared exponents and the
+    text of the powers of s, and the memos of the operator oracle and the
+    U_q(sl2) action when those modules are loaded.  Every result after a
+    clear equals the one before it; only the time to recompute it changes.
     """
     from .qpoly import _normal_block
+    from .scalar import _EXPONENTS, _S_TEXT
     from .star import _SECTORS, _X_IMAGES, _ck_mono
 
     _normal_block.cache_clear()
+    _EXPONENTS.clear()
+    _S_TEXT.clear()
     pk.cache_clear()
     del _X_IMAGES[1:]  # p_0 = 1 starts the chain
     _ck_mono.cache_clear()
@@ -133,7 +136,6 @@ __all__ = [
     "box",
     "box_tilde",
     "m0",
-    "PkPolynomial",
     "pk",
     "ck",
     "star",

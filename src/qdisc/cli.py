@@ -145,11 +145,9 @@ def _fraction(text: str) -> Fraction:
 
 def _cmd_pk(args) -> int:
     p = pk(args.k)
-    payload = {"schema": 1, "k": args.k, "coefficients": [str(c) for c in p.coeffs]}
+    payload = {"schema": 1, "k": args.k, "coefficients": [str(c) for c in p]}
     if args.latex:
-        payload["latex"] = " + ".join(
-            f"{latex_scalar(c)} x^{{{i}}}" for i, c in enumerate(p.coeffs) if not c.is_zero()
-        )
+        payload["latex"] = " + ".join(f"{latex_scalar(c)} x^{{{i}}}" for i, c in enumerate(p) if not c.is_zero())
     _emit(payload)
     return 0
 

@@ -4,10 +4,12 @@ The grammar covers integers, the symbols ``z``, ``zs`` (the adjoint
 generator), ``q``, ``s``, and the operators ``+ - * / ^`` with parentheses.
 Products are kept in written order and normal-ordered only at evaluation;
 division is by scalars only (it exists so the canonical coefficient
-strings, which are reduced fractions in ``s``, read back in).  Exponents
-are nonnegative integer literals.  Sums and products of any length
-evaluate without recursion; parentheses and unary minus may nest at most
-``MAX_NESTING`` levels deep.
+strings, which are reduced fractions in ``s``, read back in).  Integers
+and exponents are literals in the ASCII digits 0-9, exponents
+nonnegative.  A power of one term c, c z^j or c zs^k is written down in
+closed form; any other base is multiplied out.  Sums and products of any
+length evaluate without recursion; parentheses and unary minus may nest
+at most ``MAX_NESTING`` levels deep.
 """
 
 from __future__ import annotations
@@ -37,6 +39,8 @@ class EvalError(ValueError):
 
 _SYMBOLS = ("zs", "z", "q", "s")
 _OPS = "+-*/^()"
+# str.isdigit also takes superscripts and other scripts' digits, which int() rejects or reads
+_DIGITS = "0123456789"
 
 
 def tokenize(text: str):
@@ -52,9 +56,9 @@ def tokenize(text: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and text[j] in _DIGITS:
                 j += 1
             tokens.append(("int", int(text[i:j]), i))
             i = j
@@ -207,9 +211,13 @@ def to_ncpoly(node) -> NCPoly:
     if kind == "neg":
         return -to_ncpoly(node[1])
     if kind == "pow":
-        base = to_ncpoly(node[1])
+        base, n = to_ncpoly(node[1]), node[2]
+        if len(base.terms) == 1:
+            ((j, k), c), = base.terms.items()
+            if not (j and k):  # c z^j or c zs^k: its powers commute
+                return NCPoly({(j * n, k * n): c**n})
         out = NCPoly.one()
-        for _ in range(node[2]):
+        for _ in range(n):
             out = nc_mul(out, base)
         return out
     raise EvalError(f"malformed AST node {node!r}")

@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qpoly import NCPoly, WindowedSeries, _add_terms
-from .scalar import _ONE_P, ZERO, QScalar, TSeries, _div_poly, _exponents, _madd, _padd, _pmul, _shifted, _sum_of_products
+from .scalar import _ONE_P, ZERO, QScalar, TSeries, _div_poly, _madd, _padd, _pmul, _shifted, _sum_of_products
 from .star import StarSeries, star
 
 
@@ -78,15 +78,6 @@ class FockOp:
             if not ts.is_zero():
                 self.entries[key] = ts
         self.raise_bound = max(raise_bound, 0)
-
-    @staticmethod
-    def identity(M: int, order: int) -> "FockOp":
-        one = TSeries.one(order)
-        return FockOp(M, order, {(m, m): one for m in range(M + 1)})
-
-    @staticmethod
-    def zero(M: int, order: int) -> "FockOp":
-        return FockOp(M, order, {})
 
     def valid_columns(self) -> int:
         """Largest column index this operator is exact on."""
@@ -260,12 +251,11 @@ def _column_weight(k: int, m: int, order: int) -> TSeries:
     s^(4(mj - e)).  So w(k, m) is a polynomial of degree m - k in t with
     Laurent coefficients, and w(m, m) = (q^2m; q^-2)_m is a constant.
     """
-    exps = _exponents(4 * m * m)
     const: dict = {}
     for j, poly in enumerate(_poch(k)):
-        const = _padd(const, {exps[4 * (m * j - e)]: c for e, c in poly.items()})
+        const = _padd(const, _shifted({4 * (m * j - e): c for e, c in poly.items()}))
     coeffs = [
-        QScalar(_pmul(const, {exps[4 * ((m - k) * i - e)]: c for e, c in poly.items()}), None, _canonical=True)
+        QScalar(_pmul(const, _shifted({4 * ((m - k) * i - e): c for e, c in poly.items()})), None, _canonical=True)
         for i, poly in enumerate(_poch(m - k)[: order + 1])
     ]
     return TSeries(coeffs + [ZERO] * (order + 1 - len(coeffs)), order)

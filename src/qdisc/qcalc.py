@@ -27,7 +27,7 @@ to the tensor square, and the multiplication map ``m0``.
 from __future__ import annotations
 
 from .qpoly import NCPoly, TensorPoly, _add_terms, _normal_block
-from .scalar import ONE, QScalar, _exponents
+from .scalar import ONE, QScalar, _shifted
 
 
 def _qnum(n: int, m: int, n2: int = 1) -> QScalar:
@@ -38,8 +38,7 @@ def _qnum(n: int, m: int, n2: int = 1) -> QScalar:
     factor q^-2m = s^-4m shifts the exponents down, so the value is a
     Laurent numerator over 1, canonical as it stands.
     """
-    exps = _exponents(4 * max(n + n2 - 2, m))
-    num = {exps[4 * (e - m)]: min(e + 1, n, n2, n + n2 - 1 - e) for e in range(n + n2 - 1)}
+    num = _shifted({4 * (e - m): min(e + 1, n, n2, n + n2 - 1 - e) for e in range(n + n2 - 1)})
     return QScalar(num, None, _canonical=True)
 
 

@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Union
 
-from .scalar import ONE, QScalar, TSeries, ZERO, _coerce, _exponents
+from .scalar import ONE, QScalar, TSeries, ZERO, _coerce, _shifted
 
 CoeffLike = Union[QScalar, int, Fraction]
 
@@ -224,8 +224,7 @@ def _normal_block(b: int, c: int) -> tuple:
                 core[i::r] = accumulate(core[i::r])
             del core[-r:]
         shift = (b - r) * (c - r)
-        exps = _exponents(4 * (shift + len(core)))
-        num = {exps[4 * (shift + e)]: v for e, v in enumerate(core) if v}
+        num = _shifted({4 * (shift + e): v for e, v in enumerate(core)})
         out.append(((c - r, b - r), QScalar(num, None, _canonical=True)))
     return tuple(out)
 

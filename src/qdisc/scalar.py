@@ -55,26 +55,18 @@ def _pneg(a: dict) -> dict:
 
 # One shared int object per exponent: ints outside -5..256 are not cached
 # by the interpreter, and memoized products would otherwise keep a separate
-# exponent object in every dict entry.  A dict {e: e}, so that an exponent
-# outside the table raises KeyError rather than wrapping round.
-_EXPONENTS: dict = {0: 0}
-
-
-def _exponents(bound: int) -> dict:
-    """The shared exponent objects, keyed by themselves, covering -bound..bound."""
-    top = len(_EXPONENTS) // 2
-    if bound > top:
-        _EXPONENTS.update((x, x) for e in range(top + 1, bound + 1) for x in (e, -e))
-    return _EXPONENTS
+# exponent object in every dict entry.  A dict {e: e} of the exponents met
+# so far, so that it stays as small as the values a process has built.
+_EXPONENTS: dict = {}
 
 
 def _shifted(a: dict, k: int = 0, c: int = 1) -> dict:
     """c s^k a without its zero values, keyed on the shared exponent objects."""
     try:
         return {_EXPONENTS[e + k]: v * c for e, v in a.items() if v}
-    except KeyError:  # the table grows on a miss, so a hit needs no bound taken first
-        _exponents(max(max(a), -min(a)) + abs(k))
-        return {_EXPONENTS[e + k]: v * c for e, v in a.items() if v}
+    except KeyError:  # a miss interns the exponents not met before
+        intern = _EXPONENTS.setdefault
+        return {intern(x, x): v * c for x, v in ((e + k, v) for e, v in a.items()) if v}
 
 
 def _madd(acc: dict, a: dict, b: dict) -> None:
@@ -228,25 +220,26 @@ def _frac_str(c: int | Fraction) -> str:
     return f"{c.numerator}/{c.denominator}"
 
 
-# "s", "s^2", ... keyed by exponent >= 1, as _pstr writes them
-_S_TEXT: dict = {1: "s"}
+# "s", "s^2", ... keyed by the exponents _pstr has written
+_S_TEXT: dict = {}
 
 
 def _pstr(a: dict) -> str:
     """Canonical text: terms by ascending power of s, sign-aware joins."""
     if not a:
         return "0"
-    es = sorted(a)
-    if es[-1] > len(_S_TEXT):
-        _S_TEXT.update((e, f"s^{e}") for e in range(len(_S_TEXT) + 1, es[-1] + 1))
     parts = []
-    for e in es:
+    for e in sorted(a):
         c = a[e]
         neg = c < 0
         mag = -c if neg else c
         body = str(mag) if type(mag) is int else _frac_str(mag)
         if e:
-            body = _S_TEXT[e] if mag == 1 else f"{body}*{_S_TEXT[e]}"
+            try:
+                var = _S_TEXT[e]
+            except KeyError:
+                var = _S_TEXT[e] = "s" if e == 1 else f"s^{e}"
+            body = var if mag == 1 else f"{body}*{var}"
         if parts:
             parts.append(("- " if neg else "+ ") + body)
         else:

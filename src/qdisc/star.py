@@ -7,8 +7,10 @@ polynomials p_k and multiplying the legs back together:
 
     C_k(f1, f2) = m0( (p_k(box_tilde) - p_{k-1}(box_tilde)) (f1 (x) f2) ).
 
-All p_k(op) come from one three-term recurrence (``pk_images``), and
-C_k(z^a zs^b, z^c zs^d) = z^a C_k(zs^b, z^c) zs^d, so one chain per sector
+All p_k(op) come from one three-term recurrence (``pk_images``), whose
+step divides by 1 - q^(2k+2); on a sector that division is exact in
+Z[s, 1/s], one long division with a remainder check and no gcd.  As
+C_k(z^a zs^b, z^c zs^d) = z^a C_k(zs^b, z^c) zs^d, one chain per sector
 (zs^b, z^c), extended as far as the highest order asked for, gives C_1..C_T
 and star costs a polynomial in T.  The chain stays on pure-power tensors
 zs^b' (x) z^c', where m0 box_tilde = box m0, so it runs box on zs^b z^c.
@@ -27,86 +29,34 @@ from functools import lru_cache
 
 from .qcalc import box
 from .qpoly import NCPoly, _add_terms, nc_mul, nc_mul_left_z_power
-from .scalar import ONE, QScalar, ZERO, _Truncated
+from .scalar import ONE, QScalar, _Truncated, _div_poly
 
 _Q = QScalar.q_power(2)
 _ONE_MINUS_Q_SQ = (ONE - _Q) ** 2
 
 
-class PkPolynomial:
-    """A polynomial in one commuting variable x with QScalar coefficients.
-
-    ``coeffs[i]`` is the coefficient of x^i.  Used for the degree-k
-    expansion polynomials and their differences; the x slot is where the
-    box operators get substituted.
-    """
-
-    __slots__ = ("k", "coeffs")
-
-    def __init__(self, k: int, coeffs: list):
-        if len(coeffs) != k + 1:
-            raise ValueError("coefficient list must have length k + 1")
-        self.k = k
-        self.coeffs = list(coeffs)
-
-    def degree(self) -> int:
-        d = -1
-        for i, c in enumerate(self.coeffs):
-            if not c.is_zero():
-                d = i
-        return d
-
-    def __call__(self, x: QScalar) -> QScalar:
-        out = ZERO
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PkPolynomial):
-            return NotImplemented
-        return self.k == other.k and self.coeffs == other.coeffs
-
-    def __str__(self) -> str:
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if c.is_zero():
-                continue
-            xs = "" if i == 0 else ("x" if i == 1 else f"x^{i}")
-            cs = str(c)
-            if " + " in cs or " - " in cs:
-                cs = f"({cs})"
-            parts.append(cs if not xs else (xs if c.is_one() else f"{cs}*{xs}"))
-        return " + ".join(parts) if parts else "0"
-
-    def __repr__(self) -> str:
-        return f"PkPolynomial({self})"
-
-
-def pk_images(op, f, order: int) -> list:
-    """[p_0(op) f, ..., p_order(op) f], one application of the linear op per order.
+def pk_images(op, chain: list, order: int) -> list:
+    """Extend ``chain`` = [p_0(op) f, ..., p_i(op) f] in place through p_order(op) f; return it.
 
     With Q = q^2, p_0 = 1 and p_-1 = 0 the p_k obey the Al-Salam-Chihara
     recurrence (Koekoek-Lesky-Swarttouw, section 14.8)
 
-        (1 - Q^(k+1)) p_(k+1) = ((1-Q)^2 x + 1 + Q - 2 Q^(k+1)) p_k - Q (1 - Q^k) p_(k-1).
+        (1 - Q^(k+1)) p_(k+1) = ((1-Q)^2 x + 1 + Q - 2 Q^(k+1)) p_k - Q (1 - Q^k) p_(k-1),
 
-    It runs as written, dividing each step by the one factor 1 - Q^(k+1).
-    On a sector of ``box`` every image is Laurent, over the denominator 1, so
-    each gcd runs against that one binomial; for ``pk`` the division is not exact.
-    ``f`` needs ``+``, ``-`` and ``.scale``.
+    run as written, one application of the linear op per order.  Each step
+    ends by dividing every coefficient by the binomial 1 - Q^(k+1)
+    (``_div_poly``).  On a sector of ``box`` every image is Laurent, so that
+    is one exact division in Z[s, 1/s] with a remainder check; the x-chain
+    of ``pk`` and input that is not Laurent take the general quotient.
+    The images need ``+``, ``-``, ``.scale`` and ``.terms``, and keep their type.
     """
-    return _extend_images(op, [f], order)
-
-
-def _extend_images(op, chain: list, order: int) -> list:
-    """Extend ``chain`` = [p_0(op) f, ..., p_i(op) f] in place through p_order; return it."""
     for k in range(len(chain) - 1, order):
         qk1 = QScalar.q_power(2 * k + 2)
         nxt = op(chain[k]).scale(_ONE_MINUS_Q_SQ) + chain[k].scale(ONE + _Q - qk1 - qk1)
         if k:
             nxt = nxt - chain[k - 1].scale(_Q * (ONE - QScalar.q_power(2 * k)))
-        chain.append(nxt.scale(ONE / (ONE - qk1)))
+        den = {0: 1, 4 * k + 4: -1}
+        chain.append(type(nxt)({key: _div_poly(v, den) for key, v in nxt.terms.items()}))
     return chain
 
 
@@ -115,8 +65,8 @@ _X_IMAGES = [NCPoly.one()]
 
 
 @lru_cache(maxsize=None)
-def pk(k: int) -> PkPolynomial:
-    """The degree-k expansion polynomial: the recurrence of ``pk_images`` with op = x.
+def pk(k: int) -> tuple:
+    """The coefficients of the degree-k expansion polynomial, of x^0 first: ``pk_images`` with op = x.
 
     The z^i form a commutative ring, so left multiplication by z stands in
     for x.  All degrees share one chain, which a call extends only past the
@@ -125,8 +75,8 @@ def pk(k: int) -> PkPolynomial:
     """
     if k < 0:
         raise ValueError("pk needs k >= 0")
-    xk = _extend_images(lambda g: nc_mul_left_z_power(1, g), _X_IMAGES, k)[k]
-    return PkPolynomial(k, [xk.coefficient(i, 0) for i in range(k + 1)])
+    xk = pk_images(lambda g: nc_mul_left_z_power(1, g), _X_IMAGES, k)[k]
+    return tuple(xk.coefficient(i, 0) for i in range(k + 1))
 
 
 # (b, c) -> ([u_0, u_1, ...], [C_1, C_2, ...]), the one chain of each sector
@@ -147,7 +97,7 @@ def _ck_mono(b: int, c: int, order: int) -> tuple:
     if sector is None:
         sector = _SECTORS[(b, c)] = ([nc_mul(NCPoly.monomial(0, b), NCPoly.monomial(c, 0))], [])
     u, cs = sector
-    _extend_images(box, u, order)
+    pk_images(box, u, order)
     cs.extend(u[k] - u[k - 1] for k in range(len(cs) + 1, order + 1))
     return tuple(cs[:order])
 
@@ -176,10 +126,6 @@ class StarSeries(_Truncated):
     @staticmethod
     def from_ncpoly(f: NCPoly, order: int) -> "StarSeries":
         return StarSeries((f,) + (NCPoly.zero(),) * order, order)
-
-    @staticmethod
-    def one(order: int) -> "StarSeries":
-        return StarSeries.from_ncpoly(NCPoly.one(), order)
 
     @staticmethod
     def zero(order: int) -> "StarSeries":

@@ -12,8 +12,8 @@ from hypothesis import strategies as st
 from qdisc import (
     FockOp,
     NCPoly,
-    PkPolynomial,
     QScalar,
+    StarSeries,
     TSeries,
     TensorPoly,
     WindowedSeries,
@@ -63,6 +63,20 @@ def tseries_inverse(a: TSeries) -> TSeries:
                 acc = acc + ck * out[n - k]
         out[n] = -inv0 * acc
     return TSeries(out, a.order)
+
+
+def star_series_one(order: int) -> StarSeries:
+    """The unit of the truncated deformed algebra: 1 + 0 t + ... + 0 t^order."""
+    return StarSeries.from_ncpoly(NCPoly.one(), order)
+
+
+def fock_zero(M: int, order: int) -> FockOp:
+    return FockOp(M, order, {})
+
+
+def fock_identity(M: int, order: int) -> FockOp:
+    one = TSeries.one(order)
+    return FockOp(M, order, {(m, m): one for m in range(M + 1)})
 
 
 def tshift(a: TSeries, j: int) -> TSeries:
@@ -289,8 +303,33 @@ def pstr_reference(a: dict) -> str:
     return " ".join(parts)
 
 
+def horner(coeffs: tuple, x: QScalar) -> QScalar:
+    """The polynomial with coefficients ``coeffs``, of x^0 first, at x."""
+    out = ZERO
+    for c in reversed(coeffs):
+        out = out * x + c
+    return out
+
+
+def pk_images_step_reference(op, f, order: int) -> list:
+    """[p_0(op) f, ..., p_order(op) f] by the recurrence of ``star.pk_images``, divided by a scalar.
+
+    Each step multiplies by the ``QScalar`` 1 / (1 - Q^(k+1)), which reduces
+    every coefficient by its gcds: the oracle for the exact division of
+    ``pk_images``.
+    """
+    chain = [f]
+    for k in range(order):
+        qk1 = QScalar.q_power(2 * k + 2)
+        nxt = op(chain[k]).scale(ONE_MINUS_Q2**2) + chain[k].scale(ONE + Q2 - qk1 - qk1)
+        if k:
+            nxt = nxt - chain[k - 1].scale(Q2 * (ONE - QScalar.q_power(2 * k)))
+        chain.append(nxt.scale(ONE / (ONE - qk1)))
+    return chain
+
+
 @lru_cache(maxsize=None)
-def pk_sum_formula(k: int) -> PkPolynomial:
+def pk_sum_formula(k: int) -> tuple:
     """p_k from its terminating basic hypergeometric sum, expanded in x.
 
     p_k(x) = sum_{j=0}^{k} (q^-2k; q^2)_j / (q^2; q^2)_j^2 * q^2j
@@ -316,12 +355,12 @@ def pk_sum_formula(k: int) -> PkPolynomial:
             ]
         for n, c in enumerate(prod):
             total[n] = total[n] + scale * c
-    return PkPolynomial(k, total)
+    return tuple(total)
 
 
 def horner_pk_diff(k: int, op, f):
     """(p_k - p_(k-1))(op) f by Horner: k applications of op, k >= 1."""
-    a, b = pk_sum_formula(k).coeffs, pk_sum_formula(k - 1).coeffs + [ZERO]
+    a, b = pk_sum_formula(k), pk_sum_formula(k - 1) + (ZERO,)
     coeffs = [x - y for x, y in zip(a, b)]
     out = f.scale(coeffs[-1])
     for c in reversed(coeffs[:-1]):
@@ -463,7 +502,7 @@ def naive_i_op(j: int, k: int, M: int, order: int) -> FockOp:
 
 def naive_i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
     """Sum of c * naive_i_op(j, k) over the terms of f, through ``FockOp.__add__``."""
-    out = FockOp.zero(M, order)
+    out = fock_zero(M, order)
     for (j, k), c in f.terms.items():
         op = naive_i_op(j, k, M, order)
         if not c.is_one():
@@ -474,7 +513,7 @@ def naive_i_op_poly(f: NCPoly, M: int, order: int) -> FockOp:
 
 def naive_berezin_op(j: int, k: int, M: int, order: int) -> FockOp:
     """zhat_star^j zhat^k by repeated ``FockOp.__mul__`` from the identity."""
-    out = FockOp.identity(M, order)
+    out = fock_identity(M, order)
     for _ in range(j):
         out = out * zhat_star(M, order)
     for _ in range(k):
@@ -490,7 +529,7 @@ def naive_q_map(psi, M: int) -> FockOp:
     once as a polynomial in x = q^2m.
     """
     order = psi.order
-    out = FockOp.zero(M, order)
+    out = fock_zero(M, order)
     for n, f in enumerate(psi.coeffs):
         if f.is_zero():
             continue

@@ -29,6 +29,29 @@ def test_powers():
     assert parse_ncpoly("zs^0") == NCPoly.one()
 
 
+@pytest.mark.parametrize("base", ["q", "2*z^2", "zs^3", "1/(1-q)", "(z + zs)"])
+def test_closed_form_powers_match_the_repeated_product(base):
+    f = parse_ncpoly(base)
+    want = NCPoly.one()
+    for n in range(7):
+        assert parse_ncpoly(f"({base})^{n}") == want, n
+        want = nc_mul(want, f)
+
+
+def test_huge_powers_of_pure_bases_are_written_down():
+    assert parse_ncpoly("z^99999999999") == NCPoly.monomial(99999999999, 0)
+    assert parse_ncpoly("(3*zs)^40") == NCPoly.monomial(0, 40, 3**40)
+    assert parse_scalar("q^99999999999") == QScalar.q_power(99999999999)
+
+
+@pytest.mark.parametrize("text, position", [("z^\u00b2", 2), ("z^\u0663", 2), ("3\u00b2*z", 1)])
+def test_digits_are_ascii_only(text, position):
+    # str.isdigit takes superscript two and Arabic-Indic three; the grammar does not
+    with pytest.raises(ParseError) as err:
+        parse(text)
+    assert err.value.position == position
+
+
 def test_scalar_prefix():
     got = parse_ncpoly("(1-q^2)*z*zs")
     assert got == NCPoly.monomial(1, 1, ONE - Q2)

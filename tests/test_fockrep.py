@@ -36,6 +36,7 @@ from conftest import (
     _t_linear_product,
     berezin_horner,
     column_series,
+    fock_identity,
     from_rational,
     geometric,
     naive_berezin_op,
@@ -44,6 +45,7 @@ from conftest import (
     naive_q_map,
     qbinomial_covariant_symbol,
     qpochhammer,
+    star_series_one,
     tseries_inverse,
     tshift,
 )
@@ -165,9 +167,7 @@ def test_equal_on_valid_requires_common_columns():
 
 
 def test_q_map_unit():
-    from qdisc import FockOp
-
-    assert q_map(StarSeries.one(T), M) == FockOp.identity(M, T)
+    assert q_map(star_series_one(T), M) == fock_identity(M, T)
 
 
 def test_q_map_single_polynomial():
@@ -354,9 +354,7 @@ def test_column_weight_is_column_value_times_the_column_factor(order):
 
 
 def test_covariant_symbol_of_identity():
-    from qdisc import FockOp
-
-    sym = covariant_symbol(FockOp.identity(M, T), 6)
+    sym = covariant_symbol(fock_identity(M, T), 6)
     assert sym.entries == {(0, 0): TSeries.one(T)}
 
 

@@ -22,8 +22,8 @@ from hypothesis import strategies as st
 from qdisc import NCPoly, QScalar, TSeries, eval_numeric, parse_scalar, star
 from qdisc.scalar import (
     _canonical,
+    _EXPONENTS,
     _div_poly,
-    _exponents,
     _mul_reduced,
     _padd,
     _pgcd,
@@ -528,14 +528,18 @@ def test_pstr_matches_reference_on_monic_forms(x):
 
 
 def test_exponent_table_raises_on_a_bad_index():
-    exps = _exponents(8)
-    assert exps[8] == 8 and exps[-8] == -8
+    # exponents no other test meets: the table holds none of them yet
+    top = 10**12 + 7
+    for e in (-2 * top, 1 - top):
+        with pytest.raises(KeyError):
+            _EXPONENTS[e]
+    before = set(_EXPONENTS)
+    # (s^-top + s)(s^-top - s) = s^-2top - s^2: the cross terms at s^(1-top) cancel
+    got = _pmul({-top: 1, 1: 1}, {-top: 1, 1: -1})
+    assert got == {-2 * top: 1, 2: -1}
+    # a product keys on the table's own objects, and the table grows only by
+    # the exponents the product holds: never by one whose terms cancelled
+    assert all(_EXPONENTS[e] is e for e in got)
+    assert set(_EXPONENTS) - before == set(got) - before
     with pytest.raises(KeyError):
-        exps[len(exps)]
-    with pytest.raises(KeyError):
-        exps[-len(exps)]
-    # a product beyond the table extends it on both sides and keys on its objects
-    top = len(exps)
-    got = _pmul({-top: 1, 1: 1}, {-top: 2, 2: 1})
-    assert got == {-2 * top: 2, 1 - top: 2, 2 - top: 1, 3: 1}
-    assert all(_exponents(0)[e] is e for e in got)
+        _EXPONENTS[1 - top]

@@ -31,7 +31,7 @@ from qdisc import (
 from qdisc.fockrep import FockOp, i_op_poly
 from qdisc.uqsl2 import GENERATORS, act
 
-from conftest import mixed_coefficients, mixed_ncpolys, mixed_tensors
+from conftest import mixed_coefficients, mixed_ncpolys, mixed_tensors, star_series_one
 
 Q2 = QScalar.q_power(2)
 
@@ -110,7 +110,7 @@ def test_linear_structures_do_not_mix():
         TensorPoly.from_polys(NCPoly.one(), NCPoly.one()) - NCPoly.one()
     for order in (0, 2):
         assert StarSeries.zero(order) != TSeries.zero(order)
-        assert TSeries.one(order) != StarSeries.one(order)
+        assert TSeries.one(order) != star_series_one(order)
 
 
 @pytest.mark.parametrize("other", ["x", 1.5])

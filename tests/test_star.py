@@ -33,9 +33,20 @@ from qdisc import (
     star,
     uqsl2,
 )
-from qdisc.star import _SECTORS, _X_IMAGES, _ck_mono
+from qdisc.qcalc import box
+from qdisc.qpoly import nc_mul_left_z_power
+from qdisc.scalar import _EXPONENTS, _S_TEXT
+from qdisc.star import _SECTORS, _X_IMAGES, _ck_mono, pk_images
 
-from conftest import berezin_horner, box_tilde_sector_chain, ck_horner, pk_sum_formula
+from conftest import (
+    berezin_horner,
+    box_tilde_sector_chain,
+    ck_horner,
+    horner,
+    pk_images_step_reference,
+    pk_sum_formula,
+    star_series_one,
+)
 
 Q2 = QScalar.q_power(2)
 
@@ -44,20 +55,28 @@ Q2 = QScalar.q_power(2)
 
 
 def test_p0_is_one():
-    assert pk(0).coeffs == [ONE]
+    assert pk(0) == (ONE,)
 
 
 def test_p1_explicit():
     # hand expansion: the degree-one term carries coefficient (1 - q^2)
-    assert pk(1).coeffs == [ONE, ONE - Q2]
+    assert pk(1) == (ONE, ONE - Q2)
 
 
 def test_pk_degree_and_constant_term():
     for k in range(9):
         p = pk(k)
-        assert p.degree() == k
-        assert p.coeffs[0] == ONE
-        assert p(QScalar.from_int(0)) == ONE
+        assert len(p) == k + 1 and not p[k].is_zero()
+        assert p[0] == ONE
+        assert horner(p, QScalar.from_int(0)) == ONE
+
+
+def test_pk_is_one_tuple_per_degree():
+    # the memo hands every caller the same immutable object
+    for k in (0, 3, 7):
+        p = pk(k)
+        assert type(p) is tuple
+        assert pk(k) is p
 
 
 def test_pk_matches_sum_formula():
@@ -80,6 +99,41 @@ def test_pk_degrees_share_one_chain():
 def test_pk_rejects_negative():
     with pytest.raises(ValueError):
         pk(-1)
+
+
+# -- the chain step against its scalar-division reference ------------------------------
+
+
+def test_sector_chains_match_the_scalar_division_step():
+    # on a sector every image is Laurent, so each step's division is exact
+    for b in range(1, 4):
+        for c in range(1, 4):
+            f = nc_mul(NCPoly.monomial(0, b), NCPoly.monomial(c, 0))
+            chain = pk_images(box, [f], 8)
+            assert chain == pk_images_step_reference(box, f, 8), (b, c)
+            assert all(v.den == {0: 1} for u in chain for v in u.terms.values()), (b, c)
+
+
+def test_x_chain_matches_the_scalar_division_step():
+    # the x-chain of pk is not Laurent: its steps take the general quotient
+    def times_x(g):
+        return nc_mul_left_z_power(1, g)
+
+    chain = pk_images(times_x, [NCPoly.one()], 12)
+    assert chain == pk_images_step_reference(times_x, NCPoly.one(), 12)
+    assert any(len(v.den) > 1 for u in chain for v in u.terms.values())
+    pk(12)
+    assert _X_IMAGES[:13] == chain
+
+
+def test_non_laurent_tensor_chain_matches_the_scalar_division_step():
+    # a 1/(1-q) coefficient sends a division of every step through the general quotient
+    f1 = NCPoly.monomial(0, 2, ONE / (ONE - QScalar.q_power(1))) + ZS
+    F = TensorPoly.from_polys(f1, NCPoly.monomial(2, 0) + Z)
+    chain = pk_images(box_tilde, [F], 4)
+    assert chain == pk_images_step_reference(box_tilde, F, 4)
+    assert all(type(u) is TensorPoly for u in chain)
+    assert all(any(len(v.den) > 1 for v in u.terms.values()) for u in chain)
 
 
 # -- bidifferential coefficients ---------------------------------------------------
@@ -207,7 +261,7 @@ def test_star_negative_order_rejected():
 
 def test_m_series_unit():
     psi = star(ZS, Z, 3)
-    one = StarSeries.one(3)
+    one = star_series_one(3)
     assert m_series(one, psi) == psi
     assert m_series(psi, one) == psi
 
@@ -220,7 +274,7 @@ def test_m_series_single_term_is_star():
 
 def test_m_series_order_mismatch():
     with pytest.raises(ValueError):
-        m_series(StarSeries.one(2), StarSeries.one(3))
+        m_series(star_series_one(2), star_series_one(3))
 
 
 def test_m_series_associative_witness():
@@ -299,4 +353,13 @@ def test_clear_caches_empties_every_memo_and_keeps_results():
     clear_caches()
     assert [memo.cache_info().currsize for memo in memos] == [0] * len(memos)
     assert not _SECTORS and _X_IMAGES == [NCPoly.one()]
+    assert not _EXPONENTS and not _S_TEXT
     assert _memo_results() == before
+
+
+def test_tables_hold_only_the_exponents_and_text_a_run_meets():
+    # a power of q far beyond every other exponent leaves a handful of entries
+    clear_caches()
+    psi = star(NCPoly.monomial(2, 0, QScalar.q_power(100000)), NCPoly.monomial(0, 2), 2)
+    assert str(psi) == "(s^200000*z^2*zs^2)"
+    assert len(_EXPONENTS) < 100 and len(_S_TEXT) < 10
