@@ -20,7 +20,6 @@ from .qpoly import (
     WindowedSeries,
     Z,
     ZS,
-    involution,
     nc_mul,
     nc_mul_left_z_power,
     nc_mul_right_zstar_power,
@@ -128,7 +127,6 @@ __all__ = [
     "Z",
     "ZS",
     "nc_mul",
-    "involution",
     "nc_mul_left_z_power",
     "nc_mul_right_zstar_power",
     "tensor_mul",

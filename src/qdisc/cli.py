@@ -18,7 +18,7 @@ import sys
 from fractions import Fraction
 
 from . import VERIFY_SUITES
-from .expr import EvalError, ParseError, parse_ncpoly, parse_scalar
+from .expr import ParseError, parse_ncpoly, parse_scalar
 from .qcalc import box, d_partial
 from .qpoly import NCPoly, WindowedSeries, _mono_key
 from .scalar import QScalar, eval_numeric
@@ -143,60 +143,48 @@ def _fraction(text: str) -> Fraction:
         raise argparse.ArgumentTypeError(f"not a rational number: {text!r} ({exc})")
 
 
-def _cmd_pk(args) -> int:
+def _cmd_pk(args) -> dict:
     p = pk(args.k)
-    payload = {"schema": 1, "k": args.k, "coefficients": [str(c) for c in p]}
+    payload = {"k": args.k, "coefficients": [str(c) for c in p]}
     if args.latex:
         payload["latex"] = " + ".join(f"{latex_scalar(c)} x^{{{i}}}" for i, c in enumerate(p) if not c.is_zero())
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_ck(args) -> int:
-    f1 = parse_ncpoly(args.f1)
-    f2 = parse_ncpoly(args.f2)
-    result = ck(args.k, f1, f2)
-    payload = {"schema": 1, "k": args.k, "result": ncpoly_json(result)}
+def _cmd_ck(args) -> dict:
+    result = ck(args.k, parse_ncpoly(args.f1), parse_ncpoly(args.f2))
+    payload = {"k": args.k, "result": ncpoly_json(result)}
     if args.latex:
         payload["latex"] = latex_ncpoly(result)
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_star(args) -> int:
-    f1 = parse_ncpoly(args.f1)
-    f2 = parse_ncpoly(args.f2)
-    psi = star(f1, f2, args.order)
-    payload = {"schema": 1, **star_series_json(psi)}
+def _cmd_star(args) -> dict:
+    psi = star(parse_ncpoly(args.f1), parse_ncpoly(args.f2), args.order)
+    payload = star_series_json(psi)
     if args.latex:
         payload["latex"] = latex_star_series(psi)
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_box(args) -> int:
-    f = parse_ncpoly(args.f)
-    result = box(f)
-    payload = {"schema": 1, "result": ncpoly_json(result)}
+def _cmd_box(args) -> dict:
+    result = box(parse_ncpoly(args.f))
+    payload = {"result": ncpoly_json(result)}
     if args.latex:
         payload["latex"] = latex_ncpoly(result)
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_dpartial(args) -> int:
-    f = parse_ncpoly(args.f)
-    result = d_partial(f, args.side, args.variable)
-    _emit({"schema": 1, "side": args.side, "variable": args.variable, "result": ncpoly_json(result)})
-    return 0
+def _cmd_dpartial(args) -> dict:
+    result = d_partial(parse_ncpoly(args.f), args.side, args.variable)
+    return {"side": args.side, "variable": args.variable, "result": ncpoly_json(result)}
 
 
-def _cmd_berezin(args) -> int:
+def _cmd_berezin(args) -> dict:
     # the operator oracle is imported by the commands that use it only
     from .fockrep import berezin
 
-    w = berezin(args.j, args.k, args.window, args.cutoff, args.order)
-    payload = {"schema": 1, **windowed_json(w)}
+    payload = windowed_json(berezin(args.j, args.k, args.window, args.cutoff, args.order))
     # the raise bound of zhat^k leaves columns 0..cutoff - k valid
     last_valid = args.cutoff - args.k
     if args.window - max(args.k - args.j, 0) >= last_valid:
@@ -204,23 +192,20 @@ def _cmd_berezin(args) -> int:
             f"window {args.window} used the last valid column {last_valid}; "
             f"raise --cutoff for headroom"
         )
-    _emit(payload)
-    return 0
+    return payload
 
 
-def _cmd_berezin_expand(args) -> int:
+def _cmd_berezin_expand(args) -> dict:
     from .fockrep import berezin_expansion
 
-    terms = berezin_expansion(args.j, args.k, args.terms)
-    _emit({"schema": 1, "terms": [ncpoly_json(f) for f in terms]})
-    return 0
+    return {"terms": [ncpoly_json(f) for f in berezin_expansion(args.j, args.k, args.terms)]}
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> dict:
     # imported here so that no other command pays for loading the suites
     from . import verify as verify_mod
 
-    report = verify_mod.run_suites(
+    return verify_mod.run_suites(
         args.suite,
         seed=args.seed,
         max_degree=args.max_degree,
@@ -230,20 +215,14 @@ def _cmd_verify(args) -> int:
         eval_s0=args.eval_s0,
         assoc_samples=args.assoc_samples,
     )
-    _emit(report)
-    return 0 if report["passed"] else 1
 
 
-def _cmd_eval(args) -> int:
+def _cmd_eval(args) -> dict:
     if args.expr is not None and args.expr != "-":
         f = parse_ncpoly(args.expr)
         keys = sorted(f.terms, key=_mono_key)
-        terms = [[[j, k], str(eval_numeric(f.terms[(j, k)], args.s0))] for j, k in keys]
-        _emit({"schema": 1, "s0": str(args.s0), "terms": terms})
-        return 0
-    payload = json.load(sys.stdin)
-    _emit({"schema": 1, "s0": str(args.s0), "instantiated": _instantiate(payload, args.s0)})
-    return 0
+        return {"s0": str(args.s0), "terms": [[[j, k], str(eval_numeric(f.terms[(j, k)], args.s0))] for j, k in keys]}
+    return {"s0": str(args.s0), "instantiated": _instantiate(json.load(sys.stdin), args.s0)}
 
 
 # -- argument parsing -----------------------------------------------------------
@@ -366,31 +345,34 @@ def main(argv=None) -> int:
     return code
 
 
+def _error(exc: Exception) -> dict:
+    """The JSON error object of an exception that ends a command."""
+    if isinstance(exc, _UsageError):
+        return {"type": "usage", "message": str(exc)}
+    if isinstance(exc, ParseError):
+        return {"type": "parse", "message": str(exc), "position": exc.position}
+    if isinstance(exc, (MemoryError, RecursionError)):
+        # an input too large for this process; the work's frames are gone by now
+        return {"type": type(exc).__name__, "message": str(exc) or "the computation ran out of memory"}
+    return {"type": type(exc).__name__, "message": str(exc)}
+
+
 def _run(argv) -> int:
-    ap = build_parser()
+    """Run one command and emit its one document; the exit code is 2 on an
+    error, 1 when the payload reports ``passed: false``, and 0 otherwise."""
     try:
-        args = ap.parse_args(argv)
-    except _UsageError as exc:
-        _emit({"schema": 1, "error": {"type": "usage", "message": str(exc)}})
-        return 2
+        args = build_parser().parse_args(argv)
+        _check_nonnegative(args)
+        payload = args.func(args)
     except SystemExit:
         # only --help exits here, after printing its text
         return 0
-    try:
-        _check_nonnegative(args)
-        return args.func(args)
-    except ParseError as exc:
-        _emit({"schema": 1, "error": {"type": "parse", "message": str(exc), "position": exc.position}})
+    # EvalError and fockrep.InsufficientCutoffError are ValueErrors, as ParseError is
+    except (_UsageError, ValueError, ZeroDivisionError, MemoryError, RecursionError) as exc:
+        _emit({"schema": 1, "error": _error(exc)})
         return 2
-    except (EvalError, ValueError, ZeroDivisionError) as exc:
-        # fockrep.InsufficientCutoffError is a ValueError
-        _emit({"schema": 1, "error": {"type": type(exc).__name__, "message": str(exc)}})
-        return 2
-    except (MemoryError, RecursionError) as exc:
-        # an input too large for this process; the work's frames are gone by now
-        message = str(exc) or "the computation ran out of memory"
-        _emit({"schema": 1, "error": {"type": type(exc).__name__, "message": message}})
-        return 2
+    _emit({"schema": 1, **payload})
+    return 0 if payload.get("passed", True) else 1
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .qpoly import NCPoly, WindowedSeries, _add_terms
-from .scalar import _ONE_P, ZERO, QScalar, TSeries, _div_poly, _madd, _padd, _pmul, _shifted, _sum_of_products
+from .scalar import _ONE_P, ZERO, TSeries, _div_poly, _madd, _padd, _pmul, _shifted, _sum_of_products, _value
 from .star import StarSeries, star
 
 
@@ -231,7 +231,7 @@ def _read(num_rows: list, m: int, order: int) -> TSeries:
                 e += shift
                 acc[e] = get(e, 0) + c
         acc = {e: c for e, c in acc.items() if c}
-        coeffs.append(QScalar(acc, _ONE_P, _canonical=True) if acc else ZERO)
+        coeffs.append(_value(acc) if acc else ZERO)
     return TSeries(coeffs, order)
 
 
@@ -255,7 +255,7 @@ def _column_weight(k: int, m: int, order: int) -> TSeries:
     for j, poly in enumerate(_poch(k)):
         const = _padd(const, _shifted({4 * (m * j - e): c for e, c in poly.items()}))
     coeffs = [
-        QScalar(_pmul(const, _shifted({4 * ((m - k) * i - e): c for e, c in poly.items()})), None, _canonical=True)
+        _value(_pmul(const, _shifted({4 * ((m - k) * i - e): c for e, c in poly.items()})))
         for i, poly in enumerate(_poch(m - k)[: order + 1])
     ]
     return TSeries(coeffs + [ZERO] * (order + 1 - len(coeffs)), order)

@@ -27,7 +27,7 @@ to the tensor square, and the multiplication map ``m0``.
 from __future__ import annotations
 
 from .qpoly import NCPoly, TensorPoly, _add_terms, _normal_block
-from .scalar import ONE, QScalar, _shifted
+from .scalar import ONE, QScalar, _shifted, _value
 
 
 def _qnum(n: int, m: int, n2: int = 1) -> QScalar:
@@ -39,7 +39,7 @@ def _qnum(n: int, m: int, n2: int = 1) -> QScalar:
     Laurent numerator over 1, canonical as it stands.
     """
     num = _shifted({4 * (e - m): min(e + 1, n, n2, n + n2 - 1 - e) for e in range(n + n2 - 1)})
-    return QScalar(num, None, _canonical=True)
+    return _value(num)
 
 
 def d_partial(f: NCPoly, side: str, variable: str) -> NCPoly:

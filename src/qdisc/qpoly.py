@@ -26,7 +26,7 @@ from functools import lru_cache
 from itertools import accumulate
 from typing import Union
 
-from .scalar import ONE, QScalar, TSeries, ZERO, _coerce, _shifted
+from .scalar import ONE, QScalar, TSeries, ZERO, _coerce, _shifted, _value
 
 CoeffLike = Union[QScalar, int, Fraction]
 
@@ -148,10 +148,6 @@ class NCPoly(_SparseSum):
     def support(self):
         return self.terms.keys()
 
-    def degree(self) -> int:
-        """Total degree, -1 for the zero polynomial."""
-        return max((j + k for j, k in self.terms), default=-1)
-
     def __hash__(self) -> int:
         return hash(frozenset(self.terms.items()))
 
@@ -225,7 +221,7 @@ def _normal_block(b: int, c: int) -> tuple:
             del core[-r:]
         shift = (b - r) * (c - r)
         num = _shifted({4 * (shift + e): v for e, v in enumerate(core)})
-        out.append(((c - r, b - r), QScalar(num, None, _canonical=True)))
+        out.append(((c - r, b - r), _value(num)))
     return tuple(out)
 
 
@@ -238,10 +234,6 @@ def nc_mul(f: NCPoly, g: NCPoly) -> NCPoly:
         for coeff in (ca * cb,)
         for (j, k), w in _normal_block(b, c)
     ), {}))
-
-
-def involution(f: NCPoly) -> NCPoly:
-    return f.involution()
 
 
 def nc_mul_left_z_power(i: int, f: NCPoly) -> NCPoly:

@@ -19,6 +19,11 @@ J. ACM 18, 1971).  A :class:`fractions.Fraction` appears only at the edges:
 rational input has its denominators cleared, and the text divides by the
 leading coefficient of the denominator when it prints.
 
+There are two ways to build a value.  The ``QScalar`` constructor takes
+input from outside the package and always reduces it; the package builds
+every value it already knows to be canonical through the private factory
+``_value``, which stores the pair as it stands.
+
 There is no floating point anywhere: numeric instantiation substitutes an
 exact rational for ``s`` and returns a :class:`fractions.Fraction`.
 """
@@ -274,44 +279,44 @@ class QScalar:
     :meth:`monic`).  Products over other denominators cancel gcd(a, d) and
     gcd(c, b) before multiplying a/b by c/d, and sums with different
     denominators only test the gcd of the two denominators against the new
-    numerator.  Values are immutable, so arithmetic may return an operand
-    itself (x + 0 is x).  Conjugation is the identity (the coefficient
-    field models real-valued functions of real q), so the algebra
-    involutions never touch scalars.
+    numerator.  ``QScalar(num, den)`` reduces any input: ``int`` or
+    ``Fraction`` coefficients over any nonzero denominator.  The package
+    builds its own values through ``_value``, with no reduction.  Values
+    are immutable, so arithmetic may return an operand itself (x + 0 is
+    x).  Conjugation is the identity (the coefficient field models
+    real-valued functions of real q), so the algebra involutions never
+    touch scalars.
     """
 
-    __slots__ = ("num", "den", "_hash")
+    __slots__ = ("num", "den")
 
-    def __init__(self, num: dict, den: dict | None = None, _canonical: bool = False):
+    def __init__(self, num: dict, den: dict | None = None):
         if den is None:
             den = _ONE_P
-        if not _canonical:
-            # int or Fraction coefficients: clear their denominators
-            m = lcm(*(c.denominator for c in (*num.values(), *den.values())))
-            num = {e: int(c * m) for e, c in num.items() if c}
-            den = {e: int(c * m) for e, c in den.items() if c}
-            if not den:
-                raise ZeroDivisionError("QScalar with zero denominator")
-            x = _mul_reduced(num, _ONE_P, _ONE_P, den)
-            num, den = x.num, x.den
-        self.num = num
-        self.den = den
-        self._hash = None
+        # int or Fraction coefficients: clear their denominators
+        m = lcm(*(c.denominator for c in (*num.values(), *den.values())))
+        num = {e: int(c * m) for e, c in num.items() if c}
+        den = {e: int(c * m) for e, c in den.items() if c}
+        if not den:
+            raise ZeroDivisionError("QScalar with zero denominator")
+        x = _mul_reduced(num, _ONE_P, _ONE_P, den)
+        self.num = x.num
+        self.den = x.den
 
     # -- constructors ------------------------------------------------------
 
     @staticmethod
     def from_int(n: int) -> "QScalar":
-        return QScalar({0: n} if n else {}, None, _canonical=True)
+        return _value({0: n} if n else {})
 
     @staticmethod
     def from_fraction(c: Fraction) -> "QScalar":
-        return QScalar({0: c.numerator} if c else {}, {0: c.denominator}, _canonical=True)
+        return _value({0: c.numerator} if c else {}, {0: c.denominator})
 
     @staticmethod
     def s_power(n: int) -> "QScalar":
         """s**n, a Laurent monomial for any integer n."""
-        return QScalar({n: 1}, None, _canonical=True)
+        return _value({n: 1})
 
     @staticmethod
     def q_power(n: int) -> "QScalar":
@@ -348,12 +353,12 @@ class QScalar:
         if not num:
             return ZERO
         g2 = _pgcd(num, g)
-        return QScalar(*_normal(_pquo(num, g2), _pquo(den, g2)), _canonical=True)
+        return _value(*_normal(_pquo(num, g2), _pquo(den, g2)))
 
     __radd__ = __add__
 
     def __neg__(self) -> "QScalar":
-        return QScalar(_pneg(self.num), self.den, _canonical=True)
+        return _value(_pneg(self.num), self.den)
 
     def __sub__(self, other: ScalarLike) -> "QScalar":
         other = _coerce(other)
@@ -413,16 +418,11 @@ class QScalar:
         return self.num == other.num and self.den == other.den
 
     def __hash__(self) -> int:
-        h = self._hash
-        if h is None:
-            num, den = self.num, self.den
-            if len(den) == 1 and num.keys() <= {0}:
-                # a constant hashes like the equal int or Fraction
-                h = hash(Fraction(num.get(0, 0), den[0]))
-            else:
-                h = hash((tuple(sorted(num.items())), tuple(sorted(den.items()))))
-            self._hash = h
-        return h
+        num, den = self.num, self.den
+        if len(den) == 1 and num.keys() <= {0}:
+            # a constant hashes like the equal int or Fraction
+            return hash(Fraction(num.get(0, 0), den[0]))
+        return hash((tuple(sorted(num.items())), tuple(sorted(den.items()))))
 
     # -- output -------------------------------------------------------------
 
@@ -459,18 +459,23 @@ class QScalar:
         return f"QScalar({self})"
 
 
+def _value(num: dict, den: dict = _ONE_P) -> "QScalar":
+    """The value num/den stored as given, for a pair already in canonical form."""
+    x = object.__new__(QScalar)
+    x.num = num
+    x.den = den
+    return x
+
+
 def _canonical(num: dict, den: dict) -> "QScalar":
     """num/den in canonical form, for num in Z[s, 1/s] and den in Z[s] with den(0) != 0.
 
-    Over 1, num is canonical as it stands; over a constant, ``_normal``
-    divides out the content; any other denominator takes the gcd.
+    Over 1, num is canonical as it stands; any other denominator goes to
+    ``_mul_reduced``, the one routine that reduces.
     """
     if den == _ONE_P:
-        return QScalar(num, _ONE_P, _canonical=True)
-    if len(den) > 1 and num:
-        g = _pgcd(num, den)
-        num, den = _pquo(num, g), _pquo(den, g)
-    return QScalar(*_normal(num, den), _canonical=True) if num else ZERO
+        return _value(num)
+    return _mul_reduced(num, _ONE_P, _ONE_P, den)
 
 
 def _div_poly(x: "QScalar", d: dict) -> "QScalar":
@@ -488,18 +493,20 @@ def _div_poly(x: "QScalar", d: dict) -> "QScalar":
     if len(x.den) == 1:
         quo = _pquo(x.num, d)
         if quo is not None:
-            return QScalar(quo, x.den, _canonical=True)
+            return _value(quo, x.den)
     return _mul_reduced(x.num, x.den, _ONE_P, d)
 
 
 def _mul_reduced(a: dict, b: dict, c: dict, d: dict) -> "QScalar":
     """(a/b) * (c/d) for a/b and c/d each reduced over Q[s, 1/s].
 
-    Cancelling gcd(a, d) and gcd(c, b) first leaves a reduced product, so
-    no gcd of the full product is needed.  b and d may be any nonzero
-    Laurent polynomials, of any sign and integer content: this is the one
-    place where a power of s leaves a denominator for the numerator, and
-    ``_normal`` fixes the sign and content last.
+    The one routine that reduces: ``QScalar.__init__`` and ``_canonical``
+    hand it num/den as (num/1) * (1/den).  Cancelling gcd(a, d) and
+    gcd(c, b) first leaves a reduced product, so no gcd of the full product
+    is needed.  b and d may be any nonzero Laurent polynomials, of any sign
+    and integer content: this is the one place where a power of s leaves a
+    denominator for the numerator, and ``_normal`` fixes the sign and
+    content last.
     """
     if not a or not c:
         return ZERO
@@ -509,7 +516,7 @@ def _mul_reduced(a: dict, b: dict, c: dict, d: dict) -> "QScalar":
     low = min(den)
     if low:
         num, den = _shifted(num, -low), _shifted(den, -low)
-    return QScalar(*_normal(num, den), _canonical=True)
+    return _value(*_normal(num, den))
 
 
 def _coerce(x) -> "QScalar":
@@ -522,7 +529,7 @@ def _coerce(x) -> "QScalar":
     return NotImplemented
 
 
-ZERO = QScalar({}, None, _canonical=True)
+ZERO = _value({})
 ONE = QScalar.from_int(1)
 S = QScalar.s_power(1)
 Q = QScalar.q_power(1)
@@ -691,7 +698,7 @@ def _sum_of_products(pairs: list, order: int) -> TSeries:
         accs = [{} for _ in range(order + 1)]
         for n, x, y in terms:
             _madd(accs[n], x.num, y.num)
-        return TSeries([QScalar(num, _ONE_P, _canonical=True) if num else ZERO for num in map(_shifted, accs)], order)
+        return TSeries([_value(num) if num else ZERO for num in map(_shifted, accs)], order)
     out = [ZERO] * (order + 1)
     for n, x, y in terms:
         out[n] = out[n] + x * y

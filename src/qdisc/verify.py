@@ -6,7 +6,7 @@ plain operator notation, case count, pass flag, and up to five failing
 cases.  Everything is exact equality in Q(s); there are no tolerances
 anywhere.
 
-Most laws are stated once, as a list of cases and a predicate (``_law``).
+Every law is stated once, as a list of cases and a predicate (``_law``).
 The cases of a law are built before the next law's, so the seeded draws
 come in one fixed order.
 """
@@ -25,19 +25,6 @@ from .star import StarSeries, m_series, pk, pk_images, series_involution, star
 from . import VERIFY_SUITES, uqsl2
 
 
-def _check(law: str, statement: str, failures: list, cases: int) -> dict:
-    rec = {
-        "law": law,
-        "statement": statement,
-        "cases": cases,
-        "passed": not failures,
-    }
-    if failures:
-        rec["failures"] = [str(f) for f in failures[:5]]
-        rec["failure_count"] = len(failures)
-    return rec
-
-
 def _law(law: str, statement: str, cases, holds) -> dict:
     """The record of ``holds(*case)`` over every case (a tuple).
 
@@ -45,7 +32,11 @@ def _law(law: str, statement: str, cases, holds) -> dict:
     """
     cases = list(cases)
     fails = [case[0] if len(case) == 1 else case for case in cases if not holds(*case)]
-    return _check(law, statement, fails, len(cases))
+    rec = {"law": law, "statement": statement, "cases": len(cases), "passed": not fails}
+    if fails:
+        rec["failures"] = [str(f) for f in fails[:5]]
+        rec["failure_count"] = len(fails)
+    return rec
 
 
 def _monomials(max_exp: int):
@@ -95,14 +86,13 @@ def rewrite_suite(seed: int = 0, samples: int = 10000) -> list:
             return nc_mul_left_z_power(i, f) == nc_mul(NCPoly.monomial(i, 0), f)
         return nc_mul_right_zstar_power(i, f) == nc_mul(f, NCPoly.monomial(0, i))
 
-    rel = nc_mul(NCPoly.monomial(0, 1), NCPoly.monomial(1, 0))
     want = NCPoly.monomial(1, 1, QScalar.q_power(2)) + NCPoly.scalar(ONE - QScalar.q_power(2))
-    checks = [
-        _check(
+    return [
+        _law(
             "commutation-normal-form",
             "zs*z = q^2*z*zs + (1 - q^2)",
-            [] if rel == want else [f"got {rel}"],
-            1,
+            [(nc_mul(NCPoly.monomial(0, 1), NCPoly.monomial(1, 0)),)],
+            lambda rel: rel == want,
         ),
         _law(
             "product-associativity",
@@ -111,19 +101,13 @@ def rewrite_suite(seed: int = 0, samples: int = 10000) -> list:
             lambda a, b, c: nc_mul(nc_mul(a, b), c) == nc_mul(a, nc_mul(b, c)),
         ),
         _law("product-unit", "f*1 = 1*f = f", monos, unit),
-    ]
-
-    # two failure kinds per counted case, so this law keeps its own loop
-    fails = []
-    pairs = [(_rand_ncpoly(rng), _rand_ncpoly(rng)) for _ in range(200)]
-    for f, g in pairs:
-        if nc_mul(f, g).involution() != nc_mul(g.involution(), f.involution()):
-            fails.append((f, g))
-        if f.involution().involution() != f:
-            fails.append(f)
-    checks.append(_check("involution-antihomomorphism", "(f*g)^* = g^* * f^*, f^** = f", fails, len(pairs)))
-
-    return checks + [
+        _law(
+            "involution-antihomomorphism",
+            "(f*g)^* = g^* * f^*, f^** = f",
+            [(_rand_ncpoly(rng), _rand_ncpoly(rng)) for _ in range(200)],
+            lambda f, g: nc_mul(f, g).involution() == nc_mul(g.involution(), f.involution())
+            and f.involution().involution() == f,
+        ),
         _law(
             "degree-bookkeeping",
             "supp(z^a zs^b * z^c zs^d) within {(a+c-r, b+d-r) : 0 <= r <= min(b,c)}",
@@ -222,9 +206,11 @@ def star_suite(seed: int = 0, max_degree: int = 2, t_order: int = 3) -> list:
     rng = random.Random(seed)
     small = _monomials(max_degree)
 
-    fails = [k for k in range(9) if pk(k)[k].is_zero() or not pk(k)[0].is_one()]
-    if pk(0) != (ONE,) or pk(1) != (ONE, ONE - QScalar.q_power(2)):
-        fails.append("explicit p0/p1")
+    explicit = {0: (ONE,), 1: (ONE, ONE - QScalar.q_power(2))}
+
+    def pk_shape(k, want):
+        p = pk(k)
+        return p == want if want else not p[k].is_zero() and p[0].is_one()
 
     def trivial(kind, i, a, b):
         f = NCPoly.monomial(a, b)
@@ -248,7 +234,12 @@ def star_suite(seed: int = 0, max_degree: int = 2, t_order: int = 3) -> list:
         return series_involution(m_series(p1, p2)) == m_series(series_involution(p2), series_involution(p1))
 
     return [
-        _check("pk-shape", "deg p_k = k, p_k(0) = 1, p_0 = 1, p_1 = 1 + (1-q^2) x", fails, 11),
+        _law(
+            "pk-shape",
+            "deg p_k = k, p_k(0) = 1, p_0 = 1, p_1 = 1 + (1-q^2) x",
+            [(k, None) for k in range(9)] + list(explicit.items()),
+            pk_shape,
+        ),
         _law(
             "holomorphic-triviality",
             "star(z^i, f) and star(f, zs^l) have no deformation terms",
@@ -300,11 +291,11 @@ def oracle_suite(
         return lhs.equal_on_valid(rhs)
 
     checks = [
-        _check(
+        _law(
             "adjoint-shift",
             "zhat_star acts as the k = 1 monomial operator",
-            [] if zhat_star(M, T) == i_op(0, 1, M, T) else ["entrywise mismatch"],
-            1,
+            [(M, T)],
+            lambda M, T: zhat_star(M, T) == i_op(0, 1, M, T),
         ),
         _law(
             "commutation-at-leading-order",
@@ -507,4 +498,4 @@ def run_suites(
     expanded = [s for n in names for s in (SUITES if n == "all" else (n,))]
     suites = {name: runs[name]() for name in dict.fromkeys(expanded)}
     passed = all(c["passed"] for checks in suites.values() for c in checks)
-    return {"schema": 1, "suites": suites, "passed": passed}
+    return {"suites": suites, "passed": passed}

@@ -28,6 +28,7 @@ from qdisc import (
     zhat_star,
 )
 from qdisc.fockrep import _column_poly, _column_value, _column_weight
+from qdisc.scalar import _value
 from qdisc.star import StarSeries
 
 from qdisc.verify import _maps_back
@@ -236,7 +237,7 @@ def test_q_map_drops_entries_whose_terms_cancel():
 
 def _column_rows(k: int, order: int) -> list:
     """The rows of ``_column_poly(k, order)`` as (power of x, QScalar) pairs."""
-    return [[(p, QScalar(num, None, _canonical=True)) for p, num in row] for row in _column_poly(k, order)]
+    return [[(p, _value(num)) for p, num in row] for row in _column_poly(k, order)]
 
 
 def test_column_poly_reads_the_column_series():
@@ -267,7 +268,7 @@ def test_column_poly_rows_are_laurent_numerators():
                 for _, num in row:
                     assert num and all(type(c) is int and c for c in num.values()), (k, order, num)
                     assert all(e <= 0 and e % 4 == 0 for e in num), (k, order, num)
-                    assert QScalar(num) == QScalar(num, None, _canonical=True)
+                    assert QScalar(num) == _value(num)
 
 
 def _several_term_series(order: int) -> StarSeries:

@@ -12,7 +12,6 @@ from qdisc import (
     WindowedSeries,
     Z,
     ZS,
-    involution,
     nc_mul,
     nc_mul_left_z_power,
     nc_mul_right_zstar_power,
@@ -137,7 +136,7 @@ def test_involution_swaps_exponents():
 
 def test_involution_fixes_selfadjoint_product():
     zz = nc_mul(ZS, Z)
-    assert involution(zz) == zz  # zs*z is self-adjoint
+    assert zz.involution() == zz  # zs*z is self-adjoint
 
 
 def test_involution_antihomomorphism(rng, rand_ncpoly):

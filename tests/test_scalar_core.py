@@ -12,6 +12,7 @@ of s that clears the numerator's negative exponents.
 """
 
 from fractions import Fraction
+from itertools import product
 from math import gcd, lcm
 
 import pytest
@@ -20,6 +21,9 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from qdisc import NCPoly, QScalar, TSeries, eval_numeric, parse_scalar, star
+from qdisc.fockrep import _column_poly, _column_weight, _read
+from qdisc.qcalc import _qnum
+from qdisc.qpoly import _normal_block
 from qdisc.scalar import (
     _canonical,
     _EXPONENTS,
@@ -30,6 +34,7 @@ from qdisc.scalar import (
     _pmul,
     _pquo,
     _pstr,
+    _value,
 )
 
 from conftest import pstr_reference
@@ -213,7 +218,7 @@ def test_monomials_with_a_non_unit_lead_are_not_powers_of_s():
 def negative_laurent_qscalars(draw):
     """Zero-free dicts with exponents in -8..6 over {0: 1}: canonical as they stand."""
     raw = draw(st.dictionaries(st.integers(min_value=-8, max_value=6), _coeffs(False), max_size=4))
-    return QScalar({e: c for e, c in raw.items() if c}, None, _canonical=True)
+    return _value({e: c for e, c in raw.items() if c})
 
 
 def _laurent_mix():
@@ -280,7 +285,7 @@ def test_canonical_over_a_monomial_matches_the_gcd(num, low, content, share, c, 
     got = _canonical({e - E: v for e, v in num.items()}, {0: c})
     want = QScalar(num, {E: c})  # the general constructor, with its gcds
     assert (got.num, got.den) == (want.num, want.den)
-    assert got._poly() == canonical_from_sympy(to_sympy(QScalar(num, None, _canonical=True)) / (c * SYM_S**E))
+    assert got._poly() == canonical_from_sympy(to_sympy(_value(num)) / (c * SYM_S**E))
     assert (got.den == {0: 1}) == (not num or gcd(*num.values()) % c == 0)
     assert_canonical(got)
 
@@ -299,7 +304,7 @@ DIVISORS = ({0: 1, 4: -1}, {0: 1, 4: -1, 8: -1, 12: 1}, {0: 2, 1: 1}, {1: 1, 3: 
     st.booleans(),
 )
 def test_div_poly_matches_the_general_quotient(x, d, multiple):
-    as_scalar = QScalar(d, None, _canonical=True)
+    as_scalar = _value(d)
     if multiple:  # d divides the numerator, so a Laurent x takes the exact division
         x = x * as_scalar
     got = _div_poly(x, d)
@@ -543,3 +548,37 @@ def test_exponent_table_raises_on_a_bad_index():
     assert set(_EXPONENTS) - before == set(got) - before
     with pytest.raises(KeyError):
         _EXPONENTS[1 - top]
+
+
+# -- the factory: every value built by _value is the one the constructor gives ------------
+
+
+def assert_constructor_agrees(x: QScalar):
+    """``QScalar(x.num, x.den)`` reduces x again and must give back the same dicts."""
+    y = QScalar(x.num, x.den)
+    assert (y.num, y.den) == (x.num, x.den), x
+
+
+def test_factory_sites_build_canonical_values():
+    for n, n2, m in product(range(1, 7), range(1, 7), range(7)):
+        assert_constructor_agrees(_qnum(n, m, n2))
+    for b, c in product(range(9), repeat=2):
+        for _, w in _normal_block(b, c):
+            assert_constructor_agrees(w)
+    # at m = 0 every column with k >= 1 sums to zero, which _read must drop
+    for k, m, order in product(range(7), range(9), range(5)):
+        for x in _read(_column_poly(k, order), m, order).coeffs:
+            assert_constructor_agrees(x)
+    assert _read(_column_poly(3, 2), 0, 2).is_zero()
+    for m, order in product(range(11), range(5)):
+        for k in range(m + 1):
+            for x in _column_weight(k, m, order).coeffs:
+                assert_constructor_agrees(x)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_laurent_mix(), _laurent_mix(), st.sampled_from(sorted(OPS)), st.sampled_from(DIVISORS))
+def test_arithmetic_builds_canonical_values(a, b, op, d):
+    assume(op != "/" or not b.is_zero())
+    for x in (OPS[op](a, b), -a, _div_poly(a, d), _div_poly(a * _value(d), d)):
+        assert_constructor_agrees(x)

@@ -114,6 +114,14 @@ def test_sector_chains_match_the_scalar_division_step():
             assert all(v.den == {0: 1} for u in chain for v in u.terms.values()), (b, c)
 
 
+def test_sector_chain_over_a_constant_denominator_matches_the_scalar_division_step():
+    # every image of 1/2 zs^2 z^2 is Laurent over 2: the exact division keeps that 2
+    f = nc_mul(NCPoly.monomial(0, 2, QScalar.from_fraction(Fraction(1, 2))), NCPoly.monomial(2, 0))
+    chain = pk_images(box, [f], 8)
+    assert chain == pk_images_step_reference(box, f, 8)
+    assert all(v.den == {0: 2} for u in chain for v in u.terms.values())
+
+
 def test_x_chain_matches_the_scalar_division_step():
     # the x-chain of pk is not Laurent: its steps take the general quotient
     def times_x(g):
